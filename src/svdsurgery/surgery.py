@@ -23,6 +23,7 @@ from .tensorstore import (
     NamingProfile,
     WriteReport,
     load_matrix,
+    pair_matrices,
     resolve_keys,
     write_checkpoint,
 )
@@ -263,31 +264,22 @@ class SurgeryReport:
 
 
 def plan_selection(plan: SurgeryPlan) -> list[tuple[MatrixKey, str, str]]:
-    """Resolve and validate the (key, host tensor, donor tensor) triples to edit."""
-    host_res = resolve_keys(plan.host, plan.profile)
-    donor_res = resolve_keys(plan.donor, plan.profile)
-    donor_map = donor_res.as_dict()
+    """Resolve and validate the (key, host tensor, donor tensor) triples to edit.
 
-    kind_set = set(plan.selection.kinds)
-    candidates = [(key, name) for key, name in host_res.matched if key.kind in kind_set]
-    layers = plan.selection.layers.resolve(sorted({key.layer for key, _ in candidates}))
-
-    selected: list[tuple[MatrixKey, str, str]] = []
-    for key, host_name in candidates:
-        if key.layer not in layers:
-            continue
-        if key not in donor_map:
+    The selection filters the host's matrices by kind and layer; a selected
+    key that the donor lacks is an error.
+    """
+    kinds = set(plan.selection.kinds)
+    host_layers = {
+        key.layer for key, _ in resolve_keys(plan.host, plan.profile).matched if key.kind in kinds
+    }
+    layers = plan.selection.layers.resolve(sorted(host_layers))
+    selected = pair_matrices(
+        plan.host, plan.donor, plan.profile, lambda key: key.kind in kinds and key.layer in layers
+    )
+    for key, _, donor_name in selected:
+        if donor_name is None:
             raise ValidationError(f"donor checkpoint has no tensor for {key.label}")
-        donor_name = donor_map[key]
-        host_info = plan.host.index[host_name]
-        donor_info = plan.donor.index[donor_name]
-        if len(host_info.shape) != 2:
-            raise ValidationError(f"{key.label}: tensor {host_name!r} is not 2-D")
-        if host_info.shape != donor_info.shape:
-            raise ValidationError(
-                f"{key.label}: host shape {host_info.shape} != donor shape {donor_info.shape}"
-            )
-        selected.append((key, host_name, donor_name))
     return selected
 
 

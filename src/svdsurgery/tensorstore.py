@@ -363,17 +363,12 @@ class NamingProfile:
         return hits[0] if hits else None
 
 
+# qwen-style checkpoints use the llama-style names; only the echoed name differs
 BUILTIN_PROFILES = {
-    "llama-style": NamingProfile(
-        name="llama-style",
-        patterns=list(_DECODER_PATTERNS),
-        exclusions=list(_DECODER_EXCLUSIONS),
-    ),
-    "qwen-style": NamingProfile(
-        name="qwen-style",
-        patterns=list(_DECODER_PATTERNS),
-        exclusions=list(_DECODER_EXCLUSIONS),
-    ),
+    name: NamingProfile(
+        name=name, patterns=list(_DECODER_PATTERNS), exclusions=list(_DECODER_EXCLUSIONS)
+    )
+    for name in ("llama-style", "qwen-style")
 }
 
 
@@ -410,9 +405,6 @@ class KeyResolution:
     def as_dict(self) -> dict[MatrixKey, str]:
         return dict(self.matched)
 
-    def layers(self) -> list[int]:
-        return sorted({key.layer for key, _ in self.matched})
-
 
 def resolve_keys(ckpt: Checkpoint, profile: NamingProfile) -> KeyResolution:
     """Map tensor names to matrix keys.
@@ -437,3 +429,27 @@ def resolve_keys(ckpt: Checkpoint, profile: NamingProfile) -> KeyResolution:
         matched[key] = name
     ordered = sorted(matched.items(), key=lambda kv: kv[0].sort_key())
     return KeyResolution(matched=ordered, unmatched=sorted(unmatched))
+
+
+def pair_matrices(
+    a: Checkpoint, b: Checkpoint, profile: NamingProfile, keep
+) -> list[tuple[MatrixKey, str, str | None]]:
+    """Pair each 2-D matrix of `a` whose key passes `keep` with `b`'s tensor for that key.
+
+    Returns (key, name in a, name in b) sorted by key; the name in b is None
+    where `b` resolves no tensor for the key. Paired tensors must have the
+    same shape.
+    """
+    names_b = resolve_keys(b, profile).as_dict()
+    pairs = []
+    for key, name_a in resolve_keys(a, profile).matched:
+        shape = a.index[name_a].shape
+        if not keep(key) or len(shape) != 2:
+            continue
+        name_b = names_b.get(key)
+        if name_b is not None and b.index[name_b].shape != shape:
+            raise ValidationError(
+                f"{key.label}: shape {shape} in {a.path} vs {b.index[name_b].shape} in {b.path}"
+            )
+        pairs.append((key, name_a, name_b))
+    return pairs
