@@ -4,7 +4,10 @@ Distribution statistics use a fully specified histogram estimator
 (Freedman-Diaconis bin width, differential entropy in nats, KL against the
 moment-matched normal with exact Gaussian bin masses) so that numbers are
 reproducible across runs. The multimodality check is a smoothed-bootstrap
-critical-bandwidth test with the standard variance correction.
+critical-bandwidth test with the standard variance correction. Its kernel
+density curves are computed from linear-binned counts convolved with the
+sampled kernel (Silverman, Algorithm AS 176; Fan & Marron 1994), and
+directly from the sample when the binning grid would outnumber it.
 
 Randomness: every bootstrap replicate draws its generator from
 ``np.random.SeedSequence(seed, spawn_key=(replicate_index,))``, so results do
@@ -98,7 +101,10 @@ def ppo_objective(ratio: float, advantage: float, epsilon: float) -> float:
 class EstimatorConfig:
     bins: str | int = "fd"  # "fd" or an explicit bin count
     min_samples: int = 200
-    kl_direction: str = "empirical_vs_normal"  # or "normal_vs_empirical"
+    #: "empirical_vs_normal" is KL(histogram || normal) over the bins, which
+    #: span [min, max] of the sample, so the normal's mass outside that range
+    #: is dropped; or "normal_vs_empirical"
+    kl_direction: str = "empirical_vs_normal"
     mode_budget: int = 1
     bootstrap: int = 500
     seed: int = 0
@@ -151,6 +157,12 @@ def _histogram_edges(x: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
 
 
 def _entropy_and_kl(x: np.ndarray, mu: float, sd: float, cfg: EstimatorConfig):
+    """Histogram entropy and KL against the normal's exact mass per bin.
+
+    The bins span [min, max] of the sample, and both directions sum over
+    those bins only: the normal's mass outside the range is dropped, not
+    renormalized.
+    """
     edges = _histogram_edges(x, cfg)
     counts, _ = np.histogram(x, bins=edges)
     p = counts / x.shape[0]
@@ -233,10 +245,10 @@ def histogram_table(samples, cfg: EstimatorConfig = EstimatorConfig()):
 # multimodality: critical-bandwidth bootstrap
 
 
-def _kde_on_grid(x: np.ndarray, h: float, buf: np.ndarray) -> np.ndarray:
+def _kde_on_grid(x: np.ndarray, h: float) -> np.ndarray:
     """Unnormalized Gaussian KDE on KDE_GRID_POINTS spanning [min-3h, max+3h]."""
     grid = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, KDE_GRID_POINTS)
-    np.subtract(grid[:, None], x[None, :], out=buf)
+    buf = np.subtract(grid[:, None], x[None, :])
     buf *= 1.0 / h
     np.multiply(buf, buf, out=buf)
     buf *= -0.5
@@ -244,42 +256,52 @@ def _kde_on_grid(x: np.ndarray, h: float, buf: np.ndarray) -> np.ndarray:
     return buf.sum(axis=1)
 
 
+def _kde(x: np.ndarray, h: float) -> np.ndarray:
+    """The `_kde_on_grid` curve from linear-binned counts (see `silverman_test`).
+
+    The convolution is direct, not by FFT: every product is non-negative, so
+    empty stretches between clusters carry no round-off ripple.
+    """
+    lo = x.min() - 3.0 * h
+    spacing = (x.max() + 3.0 * h - lo) / (KDE_GRID_POINTS - 1)
+    r = math.ceil(4.0 * spacing / h)
+    m = (KDE_GRID_POINTS - 1) * r + 1
+    if m > x.shape[0]:
+        return _kde_on_grid(x, h)
+    step = spacing / r
+    t = (x - lo) / step
+    j = t.astype(np.intp)  # t >= 0, so this is floor; j + 1 < m thanks to the 3h margin
+    w = t - j
+    counts = np.bincount(j, 1.0 - w, m) + np.bincount(j + 1, w, m)
+    # beyond 39 bandwidths exp(-0.5 u^2) underflows to 0, so truncating there is exact
+    half = min(m - 1, math.ceil(39.0 * h / step))
+    kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * (step / h)) ** 2)
+    return np.convolve(counts, kernel)[half : half + m : r]
+
+
 def _count_modes(f: np.ndarray) -> int:
     """Local maxima of a grid-sampled curve; runs of equal values merge."""
-    keep = np.empty(f.shape[0], dtype=bool)
-    keep[0] = True
-    np.not_equal(f[1:], f[:-1], out=keep[1:])
-    fr = f[keep]
-    if fr.shape[0] == 1:
+    steps = np.sign(np.diff(f))
+    steps = steps[steps != 0]
+    if steps.shape[0] == 0:
         return 1
-    rises = np.sign(np.diff(fr))
-    modes = 0
-    prev = rises[0]
-    if prev < 0:
-        modes += 1
-    for step in rises[1:]:
-        if prev > 0 and step < 0:
-            modes += 1
-        prev = step
-    if prev > 0:
-        modes += 1
-    return modes
+    peaks = np.count_nonzero((steps[:-1] > 0) & (steps[1:] < 0))
+    return int(peaks) + int(steps[0] < 0) + int(steps[-1] > 0)
 
 
 def _critical_bandwidth(x: np.ndarray, mode_budget: int, rel_tol: float = 1e-3) -> float:
     """Smallest bandwidth whose KDE shows at most `mode_budget` modes (bisection)."""
-    buf = np.empty((KDE_GRID_POINTS, x.shape[0]))
     hi = float(x.max() - x.min())
     if hi == 0.0:
         raise ValidationError("zero variance: all samples identical")
-    while _count_modes(_kde_on_grid(x, hi, buf)) > mode_budget:
+    while _count_modes(_kde(x, hi)) > mode_budget:
         hi *= 2.0
     lo = 0.0
     for _ in range(200):
         if hi - lo <= rel_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        if _count_modes(_kde_on_grid(x, mid, buf)) <= mode_budget:
+        if _count_modes(_kde(x, mid)) <= mode_budget:
             hi = mid
         else:
             lo = mid
@@ -290,12 +312,11 @@ def _silverman(x: np.ndarray, mode_budget: int, bootstrap: int, seed: int):
     n = x.shape[0]
     h = _critical_bandwidth(x, mode_budget)
     scale = 1.0 / math.sqrt(1.0 + h * h / float(x.var()))
-    buf = np.empty((KDE_GRID_POINTS, n))
     exceed = 0
     for i in range(bootstrap):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         resample = (x[rng.integers(0, n, n)] + h * rng.standard_normal(n)) * scale
-        if _count_modes(_kde_on_grid(resample, h, buf)) > mode_budget:
+        if _count_modes(_kde(resample, h)) > mode_budget:
             exceed += 1
     return exceed / bootstrap, h
 
@@ -304,11 +325,21 @@ def silverman_test(samples, mode_budget: int = 1, bootstrap: int = 500, seed: in
     """Smoothed-bootstrap p-value for "more than `mode_budget` modes".
 
     The critical bandwidth is found by bisection to relative 1e-3, counting
-    modes of the Gaussian-kernel density on a 512-point grid. Each resample
-    is smoothed at the critical bandwidth and shrunk by
-    (1 + h^2/s^2)^(-1/2) to restore the sample variance; the p-value is the
-    fraction of resamples whose density at the critical bandwidth still
-    exceeds the mode budget. Deterministic for a fixed seed.
+    modes of the Gaussian-kernel density on a 512-point grid spanning
+    [min - 3h, max + 3h]. Each resample is smoothed at the critical bandwidth
+    and shrunk by (1 + h^2/s^2)^(-1/2) to restore the sample variance; the
+    p-value is the fraction of resamples whose density at the critical
+    bandwidth still exceeds the mode budget. Deterministic for a fixed seed.
+
+    The density is evaluated by linear binning: the sample is binned onto
+    the grid refined r = ceil(4 * spacing / h) times, so that each fine bin
+    is at most h/4 wide, convolved with the sampled kernel, and read at every
+    r-th point. When the refined grid would have more points than the
+    sample (bandwidths far below the sample range, as with a far outlier, or
+    fewer than 512 samples), it is evaluated directly instead. Binning adds
+    a little smoothing (variance at most (h/4)^2/4 per sample), so the
+    critical bandwidth can come out lower than the direct sum's by up to
+    about 0.8%.
     """
     x = _as_samples(samples, 50)
     if bootstrap < 100:

@@ -6,8 +6,11 @@ output per grid point). Exit codes: 0 success, 2 validation failure,
 3 numerical failure, 4 I/O failure.
 
 Every command validates its inputs and finishes its computation before the
-first byte of output is written. Reports are byte-deterministic for a fixed
-manifest, inputs, and seed; pass --stamp to embed a timestamp.
+first byte of output is written. A restore sweep writes each output under a
+temporary name and renames them into place only after every grid point has
+succeeded, so a failed sweep leaves no output files. Reports are
+byte-deterministic for a fixed manifest, inputs, and seed; pass --stamp to
+embed a timestamp.
 
 A manifest is a JSON object naming a `command` (svd-diff, angles, restore,
 adv-stats or penalty) plus that command's parameters:
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 import warnings
 from collections import Counter
@@ -221,37 +225,48 @@ def run_restore(params: dict) -> int:
             plans.append((stem, plan))
 
     out_dir = _prepare_out_dir(params["out"])
-    for stem, plan in plans:
-        report = run_surgery(
-            plan,
-            out_dir / f"{stem}.safetensors",
-            toolkit_version=__version__,
-            force_f32=params["force_f32"],
-        )
-        records = _write_table(
-            out_dir / f"{stem}.report.csv",
-            _RECORD_FIELDS,
-            [(rec.key, *(getattr(rec, f) for f in _RECORD_FIELDS)) for rec in report.records],
-            lambda key: key.label,
-        )
-        payload = _base_report("restore", params["stamp"])
-        payload.update(
-            {
-                "plan": report.plan,
-                "output_checkpoint": str(report.out_path),
-                "edited_matrices": report.edited_count,
-                "records": records,
-                "copied_tensors": report.copied_tensors,
-                "write": {
-                    "tensors_written": report.write_report.tensors_written,
-                    "tensors_edited": report.write_report.tensors_edited,
-                    "max_rounding_error": max(
-                        report.write_report.rounding_errors.values(), default=0.0
-                    ),
-                },
-            }
-        )
-        write_json(out_dir / f"{stem}.report.json", payload)
+    staged: list[tuple[Path, Path]] = []  # (temporary, final) paths
+
+    def stage(name: str) -> Path:
+        staged.append((out_dir / f".{name}.partial", out_dir / name))
+        return staged[-1][0]
+
+    try:
+        for stem, plan in plans:
+            checkpoint = f"{stem}.safetensors"
+            report = run_surgery(
+                plan, stage(checkpoint), toolkit_version=__version__, force_f32=params["force_f32"]
+            )
+            records = _write_table(
+                stage(f"{stem}.report.csv"),
+                _RECORD_FIELDS,
+                [(rec.key, *(getattr(rec, f) for f in _RECORD_FIELDS)) for rec in report.records],
+                lambda key: key.label,
+            )
+            payload = _base_report("restore", params["stamp"])
+            payload.update(
+                {
+                    "plan": report.plan,
+                    "output_checkpoint": str(out_dir / checkpoint),
+                    "edited_matrices": report.edited_count,
+                    "records": records,
+                    "copied_tensors": report.copied_tensors,
+                    "write": {
+                        "tensors_written": report.write_report.tensors_written,
+                        "tensors_edited": report.write_report.tensors_edited,
+                        "max_rounding_error": max(
+                            report.write_report.rounding_errors.values(), default=0.0
+                        ),
+                    },
+                }
+            )
+            write_json(stage(f"{stem}.report.json"), payload)
+    except BaseException:
+        for partial, _ in staged:
+            partial.unlink(missing_ok=True)
+        raise
+    for partial, final in staged:
+        os.replace(partial, final)
     return 0
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svdsurgery import advantage
 from svdsurgery.advantage import (
     AdvantageSummary,
     EstimatorConfig,
@@ -19,6 +20,9 @@ from svdsurgery.advantage import (
     silverman_test,
     summarize,
     verdict,
+    _count_modes,
+    _kde,
+    _kde_on_grid,
 )
 from svdsurgery.errors import ValidationError
 
@@ -264,6 +268,70 @@ def test_silverman_input_validation():
         silverman_test(np.arange(10), bootstrap=150)
     with pytest.raises(ValidationError, match="bootstrap"):
         silverman_test(np.random.default_rng(0).standard_normal(100), bootstrap=10)
+
+
+def modes_by_runs(values):
+    """Maximal runs of equal values that are higher than every neighbouring run."""
+    runs = [v for i, v in enumerate(values) if i == 0 or v != values[i - 1]]
+    return sum(
+        (i == 0 or runs[i - 1] < v) and (i == len(runs) - 1 or runs[i + 1] < v)
+        for i, v in enumerate(runs)
+    )
+
+
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_count_modes_matches_run_definition(values):
+    assert _count_modes(np.array(values, dtype=np.float64)) == modes_by_runs(values)
+
+
+KDE_INPUTS = {
+    "gaussian": lambda rng: rng.standard_normal(3000),
+    "bimodal": lambda rng: np.concatenate([rng.normal(c, 1.0, 1500) for c in (-2.0, 2.0)]),
+    # underflowed and deep-tail stretches between clusters must stay ripple-free
+    "wide_gaps": lambda rng: np.concatenate([rng.normal(c, 1.0, 500) for c in (-60.0, 0.0, 60.0)]),
+    # the grid spans the outlier, so small bandwidths fall back to direct evaluation
+    "far_outlier": lambda rng: np.append(rng.standard_normal(2000), 1e4),
+    "point_masses": lambda rng: np.repeat([0.0, 1.0, 3.0], 400),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KDE_INPUTS))
+def test_binned_kde_mode_counts_match_direct(name):
+    """Binned and direct curves agree, with the same modes, from 0.02 to 3 sds.
+
+    Binning a sample between two fine bins at most h/4 apart moves its kernel
+    value by at most (h/4)^2 max|K''| / 8 = 1/128. Where the direct curve has
+    dozens of modes, that error can exceed a bump's height, so there the
+    counts may differ by one; the statistic only compares counts with a mode
+    budget of a few.
+    """
+    x = KDE_INPUTS[name](np.random.default_rng(210))
+    binned = 0
+    for h in np.geomspace(0.02, 3.0, 60) * x.std():
+        fast, direct = _kde(x, h), _kde_on_grid(x, h)
+        binned += not np.array_equal(fast, direct)
+        assert np.max(np.abs(fast - direct)) <= x.shape[0] / 128, h
+        want = _count_modes(direct)
+        if want <= 8:
+            assert _count_modes(fast) == want, h
+        else:
+            assert abs(_count_modes(fast) - want) <= 1, h
+    assert binned > 0
+    if name == "far_outlier":
+        assert binned < 60
+
+
+@pytest.mark.parametrize("name", ["gaussian", "bimodal", "wide_gaps"])
+@pytest.mark.parametrize("mode_budget", [1, 2, 3])
+def test_critical_bandwidth_matches_direct(name, mode_budget, monkeypatch):
+    x = KDE_INPUTS[name](np.random.default_rng(210))
+    h_binned = advantage._critical_bandwidth(x, mode_budget)
+    monkeypatch.setattr(advantage, "_kde", _kde_on_grid)
+    h_direct = advantage._critical_bandwidth(x, mode_budget)
+    # two bisections to relative 1e-3 each, plus linear binning's extra
+    # smoothing: variance <= (h/4)^2/4 per sample widens h by at most 0.78%
+    assert h_binned == pytest.approx(h_direct, rel=1e-2)
 
 
 # ---------------------------------------------------------------------------

@@ -364,3 +364,19 @@ def test_failed_sweep_writes_nothing(pair, tmp_path, capsys):
     assert run_manifest(tmp_path, manifest) == 2
     assert "L001.mlp_up" in capsys.readouterr().err
     assert files(out) == {}
+
+
+def test_sweep_failing_numerically_at_a_later_grid_point_writes_nothing(pair, tmp_path):
+    sweep = {"layers": ["first:1", "all"]}
+    earlier = tmp_path / "earlier"
+    assert run_manifest(tmp_path, restore_manifest(pair, earlier, mode="values", sweep=sweep)) == 0
+    before = files(earlier)
+    arrays = synth_decoder_arrays(23)
+    arrays[MISSING][1, 2] = np.nan  # only the "all" grid point reaches layer 1
+    write_ckpt(pair[1], arrays)
+    out = tmp_path / "out"
+    assert run_manifest(tmp_path, restore_manifest(pair, out, mode="values", sweep=sweep)) == 3
+    assert files(out) == {}
+    # a failed rerun into a used directory leaves the earlier outputs as they were
+    assert run_manifest(tmp_path, restore_manifest(pair, earlier, mode="values", sweep=sweep)) == 3
+    assert files(earlier) == before
