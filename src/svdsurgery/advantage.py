@@ -28,6 +28,12 @@ from .errors import NumericalError, ValidationError
 
 KDE_GRID_POINTS = 512
 FALLBACK_BINS = 64
+MAX_BINS = 65536
+#: fewest samples `summarize` and `histogram_table` accept
+MIN_SAMPLES = 200
+#: samples above this count are deterministically subsampled before the
+#: multimodality bootstrap
+SILVERMAN_MAX_N = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -99,25 +105,23 @@ def ppo_objective(ratio: float, advantage: float, epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """Histogram and multimodality settings.
+
+    The fixed parts of the estimator are module constants: at least
+    MIN_SAMPLES samples, at most MAX_BINS bins, and at most SILVERMAN_MAX_N
+    samples in the multimodality bootstrap. KL is KL(histogram || normal)
+    over the bins, which span [min, max] of the sample, so the normal's mass
+    outside that range is dropped.
+    """
+
     bins: str | int = "fd"  # "fd" or an explicit bin count
-    min_samples: int = 200
-    #: "empirical_vs_normal" is KL(histogram || normal) over the bins, which
-    #: span [min, max] of the sample, so the normal's mass outside that range
-    #: is dropped; or "normal_vs_empirical"
-    kl_direction: str = "empirical_vs_normal"
     mode_budget: int = 1
     bootstrap: int = 500
     seed: int = 0
-    #: samples above this count are deterministically subsampled before the
-    #: multimodality bootstrap; None disables the cap
-    silverman_max_n: int | None = 5000
-    max_bins: int = 65536
 
     def __post_init__(self) -> None:
         if self.bins != "fd" and (not isinstance(self.bins, int) or self.bins < 2):
             raise ValidationError(f"bins must be 'fd' or an integer >= 2, got {self.bins!r}")
-        if self.kl_direction not in ("empirical_vs_normal", "normal_vs_empirical"):
-            raise ValidationError(f"unknown kl_direction {self.kl_direction!r}")
 
 
 @dataclass
@@ -152,16 +156,15 @@ def _histogram_edges(x: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
             nbins = int(np.ceil((hi - lo) / width))
     else:
         nbins = int(cfg.bins)
-    nbins = min(max(nbins, 1), cfg.max_bins)
+    nbins = min(max(nbins, 1), MAX_BINS)
     return np.linspace(lo, hi, nbins + 1)
 
 
 def _entropy_and_kl(x: np.ndarray, mu: float, sd: float, cfg: EstimatorConfig):
-    """Histogram entropy and KL against the normal's exact mass per bin.
+    """Histogram entropy and KL(histogram || normal) with the normal's exact bin masses.
 
-    The bins span [min, max] of the sample, and both directions sum over
-    those bins only: the normal's mass outside the range is dropped, not
-    renormalized.
+    The bins span [min, max] of the sample and the KL sums over those bins
+    only: the normal's mass outside the range is dropped, not renormalized.
     """
     edges = _histogram_edges(x, cfg)
     counts, _ = np.histogram(x, bins=edges)
@@ -172,25 +175,28 @@ def _entropy_and_kl(x: np.ndarray, mu: float, sd: float, cfg: EstimatorConfig):
     entropy = -float(np.sum(p[occupied] * np.log(p[occupied] / widths[occupied])))
 
     q = np.diff(ndtr((edges - mu) / sd))  # exact Gaussian mass per bin
-    if cfg.kl_direction == "empirical_vs_normal":
-        kl = float(np.sum(p[occupied] * np.log(p[occupied] / np.maximum(q[occupied], 1e-300))))
-    else:
-        support = q > 0.0
-        kl = float(np.sum(q[support] * np.log(q[support] / np.maximum(p[support], 1e-300))))
+    kl = float(np.sum(p[occupied] * np.log(p[occupied] / np.maximum(q[occupied], 1e-300))))
     return entropy, kl, edges, p, q
+
+
+def _sample_moments(samples) -> tuple[np.ndarray, float, float]:
+    """The checked sample with its mean and sd (ddof=1); needs MIN_SAMPLES and spread."""
+    x = _as_samples(samples, MIN_SAMPLES)
+    mu = float(x.mean())
+    sd = float(x.std(ddof=1))
+    if sd == 0.0 or x.max() == x.min():
+        raise ValidationError("zero variance: all samples identical")
+    return x, mu, sd
 
 
 def summarize(samples, cfg: EstimatorConfig = EstimatorConfig()) -> AdvantageSummary:
     """Moments, histogram entropy/KL, and the multimodality p-value.
 
-    Requires at least `cfg.min_samples` points with positive variance.
+    Requires at least MIN_SAMPLES points with positive variance; the
+    bootstrap runs on a seeded subsample of SILVERMAN_MAX_N points when
+    there are more.
     """
-    x = _as_samples(samples, cfg.min_samples)
-    mu = float(x.mean())
-    sd = float(x.std(ddof=1))
-    if sd == 0.0 or x.max() == x.min():
-        raise ValidationError("zero variance: all samples identical")
-
+    x, mu, sd = _sample_moments(samples)
     centered = x - mu
     m2 = float(np.mean(centered**2))
     m3 = float(np.mean(centered**3))
@@ -199,9 +205,9 @@ def summarize(samples, cfg: EstimatorConfig = EstimatorConfig()) -> AdvantageSum
     entropy, kl, edges, _, _ = _entropy_and_kl(x, mu, sd, cfg)
 
     sil_x = x
-    if cfg.silverman_max_n is not None and x.shape[0] > cfg.silverman_max_n:
+    if x.shape[0] > SILVERMAN_MAX_N:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0xD0,)))
-        sil_x = x[rng.choice(x.shape[0], cfg.silverman_max_n, replace=False)]
+        sil_x = x[rng.choice(x.shape[0], SILVERMAN_MAX_N, replace=False)]
     p_value, h_crit = _silverman(sil_x, cfg.mode_budget, cfg.bootstrap, cfg.seed)
 
     return AdvantageSummary(
@@ -216,7 +222,7 @@ def summarize(samples, cfg: EstimatorConfig = EstimatorConfig()) -> AdvantageSum
             "bins_requested": cfg.bins,
             "bins_used": len(edges) - 1,
             "bin_width": float(edges[1] - edges[0]) if len(edges) > 1 else 0.0,
-            "kl_direction": cfg.kl_direction,
+            "kl_direction": "empirical_vs_normal",
             "mode_budget": cfg.mode_budget,
             "bootstrap": cfg.bootstrap,
             "seed": cfg.seed,
@@ -228,11 +234,7 @@ def summarize(samples, cfg: EstimatorConfig = EstimatorConfig()) -> AdvantageSum
 
 def histogram_table(samples, cfg: EstimatorConfig = EstimatorConfig()):
     """Per-bin rows (left, right, count, p, matched-normal mass) for plotting."""
-    x = _as_samples(samples, cfg.min_samples)
-    mu = float(x.mean())
-    sd = float(x.std(ddof=1))
-    if sd == 0.0 or x.max() == x.min():
-        raise ValidationError("zero variance: all samples identical")
+    x, mu, sd = _sample_moments(samples)
     _, _, edges, p, q = _entropy_and_kl(x, mu, sd, cfg)
     counts = np.round(p * x.shape[0]).astype(np.int64)
     return [

@@ -63,7 +63,6 @@ from .surgery import (
     RankSelector,
     SelectionSpec,
     SurgeryPlan,
-    plan_selection,
     run_surgery,
 )
 from .tensorstore import load_matrix, load_profile, open_checkpoint, pair_matrices
@@ -220,7 +219,6 @@ def run_restore(params: dict) -> int:
                 mode=params["mode"], donor=donor, host=host, selection=selection,
                 profile=profile, align=params["align"],
             )
-            plan_selection(plan)  # so that a bad grid point fails before the first write
             stem = f"{plan.mode}__layers-{_selector_slug(layers)}__ranks-{_selector_slug(ranks)}"
             plans.append((stem, plan))
 
@@ -234,9 +232,7 @@ def run_restore(params: dict) -> int:
     try:
         for stem, plan in plans:
             checkpoint = f"{stem}.safetensors"
-            report = run_surgery(
-                plan, stage(checkpoint), toolkit_version=__version__, force_f32=params["force_f32"]
-            )
+            report = run_surgery(plan, stage(checkpoint), force_f32=params["force_f32"])
             records = _write_table(
                 stage(f"{stem}.report.csv"),
                 _RECORD_FIELDS,
@@ -293,7 +289,6 @@ def run_adv_stats(params: dict) -> int:
         bootstrap=params["bootstrap"],
         seed=params["seed"],
         mode_budget=params["mode_budget"],
-        kl_direction=params["kl_direction"],
     )
     thresholds = _load_thresholds(params["thresholds"])
     gae_params = GaeParams(gamma=params["gamma"], lam=params["lam"])
@@ -504,8 +499,6 @@ _COMMANDS = {
         ("--bootstrap", {"default": 500, "type": int}),
         ("--seed", {"default": 0, "type": int}),
         ("--mode-budget", {"default": 1, "type": int}),
-        ("--kl-direction", {"default": "empirical_vs_normal",
-                            "choices": ["empirical_vs_normal", "normal_vs_empirical"]}),
         ("--thresholds", {"default": "default", "help": "'default' or a JSON file"}),
         ("--gamma", {"default": 0.99, "type": float}),
         ("--lam", {"default": 0.95, "type": float}),

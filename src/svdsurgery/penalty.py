@@ -26,7 +26,6 @@ class PenaltyRef:
     v: np.ndarray  # (n, r) orthonormal columns
     rank: int
     boundary_gap: float  # sigma_r - sigma_{r+1}; sigma_{r+1} taken as 0 at full rank
-    sigma_top: float
     degenerate: bool  # boundary gap below DEGENERATE_GAP_RATIO * sigma_1
 
     @property
@@ -60,16 +59,18 @@ def fit_reference(w_ref: np.ndarray, rank: int) -> PenaltyRef:
         v=t.v[:, :rank],
         rank=rank,
         boundary_gap=gap,
-        sigma_top=sigma_top,
         degenerate=degenerate,
     )
 
 
-def _check_shape(w: np.ndarray, ref: PenaltyRef) -> np.ndarray:
+def _cross_blocks(w: np.ndarray, ref: PenaltyRef) -> tuple[np.ndarray, np.ndarray]:
+    """The cross blocks (I - P_U) W V_r and U_r^T W (I - P_V) of a checked `w`."""
     w = ensure_matrix(w)
     if w.shape != ref.shape:
         raise ValidationError(f"shape mismatch: {w.shape} vs reference {ref.shape}")
-    return w
+    wv = w @ ref.v
+    uw = ref.u.T @ w
+    return wv - ref.u @ (ref.u.T @ wv), uw - (uw @ ref.v) @ ref.v.T
 
 
 def penalty_value(w: np.ndarray, ref: PenaltyRef) -> float:
@@ -79,11 +80,7 @@ def penalty_value(w: np.ndarray, ref: PenaltyRef) -> float:
     P_U = U_r U_r^T and P_V = V_r V_r^T. Zero exactly when `w` is
     block-diagonal with respect to the reference split.
     """
-    w = _check_shape(w, ref)
-    wv = w @ ref.v
-    cross_left = wv - ref.u @ (ref.u.T @ wv)  # (I - P_U) W V_r
-    uw = ref.u.T @ w
-    cross_right = uw - (uw @ ref.v) @ ref.v.T  # U_r^T W (I - P_V)
+    cross_left, cross_right = _cross_blocks(w, ref)
     return float(np.sum(cross_left * cross_left) + np.sum(cross_right * cross_right))
 
 
@@ -93,9 +90,5 @@ def penalty_grad(w: np.ndarray, ref: PenaltyRef) -> np.ndarray:
     2 (I - P_U) W P_V + 2 P_U W (I - P_V); matches central finite
     differences of the value.
     """
-    w = _check_shape(w, ref)
-    wv = w @ ref.v
-    cross_left = wv - ref.u @ (ref.u.T @ wv)
-    uw = ref.u.T @ w
-    cross_right = uw - (uw @ ref.v) @ ref.v.T
+    cross_left, cross_right = _cross_blocks(w, ref)
     return 2.0 * (cross_left @ ref.v.T) + 2.0 * (ref.u @ cross_right)

@@ -5,9 +5,7 @@ Tolerance constants used across the toolkit live here:
 ==============================  =======  ==========================================
 constant                        value    meaning
 ==============================  =======  ==========================================
-ORTHONORMALITY_BUILD_TOL        1e-10    guaranteed on bases this module constructs
 ORTHONORMALITY_INPUT_TOL        1e-8     accepted on caller-supplied bases
-RECONSTRUCTION_RTOL             1e-10    ||U diag(s) V^T - W||_F <= tol*(1+||W||_F)
 DEGENERATE_GAP_RATIO            1e-6     gap below this fraction of sigma_1 flags an
                                          ill-conditioned subspace boundary
 ==============================  =======  ==========================================
@@ -21,9 +19,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-ORTHONORMALITY_BUILD_TOL = 1e-10
 ORTHONORMALITY_INPUT_TOL = 1e-8
-RECONSTRUCTION_RTOL = 1e-10
 DEGENERATE_GAP_RATIO = 1e-6
 
 

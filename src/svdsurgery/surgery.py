@@ -154,12 +154,15 @@ class SurgeryPlan:
     selection: SelectionSpec
     profile: NamingProfile
     align: str = "none"  # "none" | "procrustes" (vectors mode, experimental)
+    #: (key, host tensor, donor tensor) triples to edit, from `plan_selection`
+    targets: list[tuple[MatrixKey, str, str]] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.align not in ("none", "procrustes"):
             raise ValidationError(f"align must be 'none' or 'procrustes', got {self.align!r}")
+        self.targets = plan_selection(self)
 
     def echo(self) -> dict:
         return {
@@ -252,8 +255,6 @@ class MatrixRecord:
 @dataclass
 class SurgeryReport:
     plan: dict
-    toolkit_version: str
-    out_path: Path
     records: list[MatrixRecord] = field(default_factory=list)
     copied_tensors: list[str] = field(default_factory=list)
     write_report: WriteReport | None = None
@@ -267,7 +268,8 @@ def plan_selection(plan: SurgeryPlan) -> list[tuple[MatrixKey, str, str]]:
     """Resolve and validate the (key, host tensor, donor tensor) triples to edit.
 
     The selection filters the host's matrices by kind and layer; a selected
-    key that the donor lacks is an error.
+    key that the donor lacks is an error. `SurgeryPlan` runs this once, when
+    it is built, and keeps the result as `targets`.
     """
     kinds = set(plan.selection.kinds)
     host_layers = {
@@ -283,24 +285,17 @@ def plan_selection(plan: SurgeryPlan) -> list[tuple[MatrixKey, str, str]]:
     return selected
 
 
-def run_surgery(
-    plan: SurgeryPlan,
-    out: str | Path,
-    toolkit_version: str = "0",
-    force_f32: bool = False,
-) -> SurgeryReport:
+def run_surgery(plan: SurgeryPlan, out: str | Path, force_f32: bool = False) -> SurgeryReport:
     """Execute a plan and write the edited checkpoint to `out`.
 
-    Every selected matrix is replaced by the mixed_matrix output; all other
-    tensors are copied byte-exact. A selection that resolves to no ranks
-    leaves the tensor untouched (no SVD round trip).
+    Every matrix in `plan.targets` is replaced by the mixed_matrix output;
+    all other tensors are copied byte-exact. A selection that resolves to no
+    ranks leaves the tensor untouched (no SVD round trip).
     """
-    selected = plan_selection(plan)
-    report = SurgeryReport(plan=plan.echo(), toolkit_version=toolkit_version, out_path=Path(out))
+    report = SurgeryReport(plan=plan.echo())
 
     edits: dict[str, np.ndarray] = {}
-    edited_names: set[str] = set()
-    for key, host_name, donor_name in selected:
+    for key, host_name, donor_name in plan.targets:
         w_host = load_matrix(plan.host, host_name)
         thin = min(w_host.shape)
         ranks = plan.selection.ranks.resolve(thin)
@@ -314,7 +309,6 @@ def run_surgery(
             donor_t = _aligned_donor(host_t, donor_t, ranks)
         w_out = mixed_matrix(host_t, donor_t, plan.mode, ranks)
         edits[host_name] = w_out
-        edited_names.add(host_name)
         report.records.append(
             MatrixRecord(
                 key=key,
@@ -333,6 +327,6 @@ def run_surgery(
             )
         )
 
-    report.copied_tensors = sorted(set(plan.host.index) - edited_names)
+    report.copied_tensors = sorted(set(plan.host.index) - set(edits))
     report.write_report = write_checkpoint(plan.host, edits, out, force_f32=force_f32)
     return report

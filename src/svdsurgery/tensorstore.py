@@ -206,7 +206,6 @@ def load_matrix(ckpt: Checkpoint, name: str) -> np.ndarray:
 
 @dataclass
 class WriteReport:
-    out_path: Path
     tensors_written: int
     tensors_edited: int
     #: per edited tensor: max |stored - requested| after dtype rounding
@@ -239,7 +238,7 @@ def write_checkpoint(
 
     # preserve the base payload layout order
     layout = sorted(base.index, key=lambda n: (base.index[n].offsets[0], n))
-    report = WriteReport(out_path=Path(out), tensors_written=len(layout), tensors_edited=len(edits))
+    report = WriteReport(tensors_written=len(layout), tensors_edited=len(edits))
 
     blobs: dict[str, bytes] = {}
     entries: dict[str, dict] = {}

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from svdsurgery import cli
+from svdsurgery import cli, surgery
 
 from conftest import pack_container, synth_decoder_arrays
 
@@ -330,6 +330,34 @@ def test_manifest_omitting_optional_keys_gets_flag_defaults(pair, rollouts, tmp_
     manifest = {"command": "svd-diff", "inputs": {"a": host, "b": donor}, "output_dir": str(out)}
     assert run_manifest(tmp_path, manifest) == 0
     assert files(out) == by_flags
+
+
+def test_restore_sweep_plans_each_grid_point_once(pair, tmp_path, monkeypatch):
+    calls = []
+    original = surgery.plan_selection
+
+    def counted(plan):
+        calls.append(plan)
+        return original(plan)
+
+    for module in (cli, surgery):
+        monkeypatch.setattr(module, "plan_selection", counted, raising=False)
+    sweep = {"layers": ["first:1", "all"], "ranks": ["top:2", "bottom:1"]}
+    manifest = restore_manifest(pair, tmp_path / "out", mode="values", sweep=sweep)
+    assert run_manifest(tmp_path, manifest) == 0
+    assert len(calls) == 4
+
+
+def test_kl_direction_flag_and_manifest_key_exit_2(rollouts, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["adv-stats", "--input", str(rollouts), "--out", str(out),
+                  "--kl-direction", "empirical_vs_normal"])
+    assert exc.value.code == 2
+    manifest = {"command": "adv-stats", "input": str(rollouts), "output_dir": str(out),
+                "kl_direction": "empirical_vs_normal"}
+    assert run_manifest(tmp_path, manifest) == 2
+    assert files(out) == {}
 
 
 def test_manifest_missing_required_key_exits_2_and_names_it(pair, tmp_path, capsys):

@@ -271,10 +271,7 @@ def test_run_surgery_empty_ranks_copies_bytes(synth_pair, tmp_path):
 def test_run_surgery_report_contents(synth_pair, tmp_path):
     host_path, donor_path = synth_pair(layers=1)
     out = tmp_path / "rep.safetensors"
-    report = run_surgery(
-        _make_plan(host_path, donor_path, ranks="top:3"), out, toolkit_version="9.9"
-    )
-    assert report.toolkit_version == "9.9"
+    report = run_surgery(_make_plan(host_path, donor_path, ranks="top:3"), out)
     assert report.plan["mode"] == "values"
     assert report.plan["ranks"] == "top:3"
     rec = report.records[0]
