@@ -3,11 +3,14 @@
 Distribution statistics use a fully specified histogram estimator
 (Freedman-Diaconis bin width, differential entropy in nats, KL against the
 moment-matched normal with exact Gaussian bin masses) so that numbers are
-reproducible across runs. The multimodality check is a smoothed-bootstrap
-critical-bandwidth test with the standard variance correction. Its kernel
-density curves are computed from linear-binned counts convolved with the
-sampled kernel (Silverman, Algorithm AS 176; Fan & Marron 1994), and
-directly from the sample when the binning grid would outnumber it.
+reproducible across runs. The Gaussian masses are differences of the normal
+CDF 0.5 * erfc(-z / sqrt 2) at the bin edges, with erfc from the standard
+library's `math` module; NumPy is the only third-party dependency. The
+multimodality check is a smoothed-bootstrap critical-bandwidth test with the
+standard variance correction. Its kernel density curves are computed from
+linear-binned counts convolved with the sampled kernel (Silverman, Algorithm
+AS 176; Fan & Marron 1994), and directly from the sample when the binning
+grid would outnumber it.
 
 Randomness: every bootstrap replicate draws its generator from
 ``np.random.SeedSequence(seed, spawn_key=(replicate_index,))``, so results do
@@ -18,11 +21,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import NumericalError, ValidationError
 
@@ -122,6 +125,12 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.bins != "fd" and (not isinstance(self.bins, int) or self.bins < 2):
             raise ValidationError(f"bins must be 'fd' or an integer >= 2, got {self.bins!r}")
+        if self.mode_budget < 1:
+            raise ValidationError(f"mode budget must be >= 1, got {self.mode_budget}")
+        if self.bootstrap < 1:
+            raise ValidationError(f"bootstrap count must be >= 1, got {self.bootstrap}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -160,6 +169,11 @@ def _histogram_edges(x: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
     return np.linspace(lo, hi, nbins + 1)
 
 
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of each element, 0.5 * erfc(-z / sqrt 2)."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
+
+
 def _entropy_and_kl(x: np.ndarray, mu: float, sd: float, cfg: EstimatorConfig):
     """Histogram entropy and KL(histogram || normal) with the normal's exact bin masses.
 
@@ -174,7 +188,7 @@ def _entropy_and_kl(x: np.ndarray, mu: float, sd: float, cfg: EstimatorConfig):
 
     entropy = -float(np.sum(p[occupied] * np.log(p[occupied] / widths[occupied])))
 
-    q = np.diff(ndtr((edges - mu) / sd))  # exact Gaussian mass per bin
+    q = np.diff(_normal_cdf((edges - mu) / sd))  # exact Gaussian mass per bin
     kl = float(np.sum(p[occupied] * np.log(p[occupied] / np.maximum(q[occupied], 1e-300))))
     return entropy, kl, edges, p, q
 
@@ -292,7 +306,13 @@ def _count_modes(f: np.ndarray) -> int:
 
 
 def _critical_bandwidth(x: np.ndarray, mode_budget: int, rel_tol: float = 1e-3) -> float:
-    """Smallest bandwidth whose KDE shows at most `mode_budget` modes (bisection)."""
+    """Smallest bandwidth whose KDE shows at most `mode_budget` modes (bisection).
+
+    Raises NumericalError when 200 halvings do not bring the bracket within
+    relative `rel_tol`. That happens when no bandwidth shows more modes than
+    the budget on the grid, as when a far outlier leaves the bulk of the
+    sample within a cell or two of it.
+    """
     hi = float(x.max() - x.min())
     if hi == 0.0:
         raise ValidationError("zero variance: all samples identical")
@@ -307,6 +327,11 @@ def _critical_bandwidth(x: np.ndarray, mode_budget: int, rel_tol: float = 1e-3) 
             hi = mid
         else:
             lo = mid
+    if hi - lo > rel_tol * hi:
+        raise NumericalError(
+            f"critical bandwidth did not converge to relative {rel_tol:g}: "
+            f"bisection ended with [{lo:.3g}, {hi:.3g}]"
+        )
     return hi
 
 
@@ -344,11 +369,10 @@ def silverman_test(samples, mode_budget: int = 1, bootstrap: int = 500, seed: in
     about 0.8%.
     """
     x = _as_samples(samples, 50)
+    cfg = EstimatorConfig(mode_budget=mode_budget, bootstrap=bootstrap, seed=seed)
     if bootstrap < 100:
         raise ValidationError(f"bootstrap count must be >= 100, got {bootstrap}")
-    if mode_budget < 1:
-        raise ValidationError(f"mode budget must be >= 1, got {mode_budget}")
-    p, _ = _silverman(x, mode_budget, bootstrap, seed)
+    p, _ = _silverman(x, cfg.mode_budget, cfg.bootstrap, cfg.seed)
     return p
 
 
@@ -361,6 +385,12 @@ class ThresholdConfig:
     center_ratio_max: float = 0.5  # |mu| / sd
     entropy_min: float = 2.55
     kl_max: float = 0.16
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"threshold {f.name} must be a number, got {value!r}")
 
 
 @dataclass
@@ -415,7 +445,8 @@ def read_rollout_log(path: str | Path, params: GaeParams | None = None):
     if not path.is_file():
         raise ValidationError(f"rollout log not found: {path}")
     advantages: list[float] = []
-    steps: dict[str, list[dict]] = {}
+    # per trace: (t, reward or None on the terminal-value row, value)
+    steps: dict[str, list[tuple[int, float | None, float]]] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -425,15 +456,25 @@ def read_rollout_log(path: str | Path, params: GaeParams | None = None):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if "advantage" in rec:
-                advantages.append(float(rec["advantage"]))
-            elif "trace_id" in rec and "t" in rec and "value" in rec:
-                steps.setdefault(str(rec["trace_id"]), []).append(rec)
-            else:
+            if not isinstance(rec, dict):
                 raise ValidationError(
-                    f"{path}:{lineno}: record needs either 'advantage' or "
-                    "'trace_id'/'t'/'reward'/'value' fields"
+                    f"{path}:{lineno}: record must be a JSON object, got {type(rec).__name__}"
                 )
+            try:
+                if "advantage" in rec:
+                    advantages.append(float(rec["advantage"]))
+                elif "trace_id" in rec and "t" in rec and "value" in rec:
+                    reward = rec.get("reward")
+                    row = (int(rec["t"]), None if reward is None else float(reward),
+                           float(rec["value"]))
+                    steps.setdefault(str(rec["trace_id"]), []).append(row)
+                else:
+                    raise ValidationError(
+                        f"{path}:{lineno}: record needs either 'advantage' or "
+                        "'trace_id'/'t'/'reward'/'value' fields"
+                    )
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{path}:{lineno}: bad field value: {exc}") from exc
     if advantages and steps:
         raise ValidationError(f"{path}: mixes advantage records with trace records")
     if advantages:
@@ -445,17 +486,16 @@ def read_rollout_log(path: str | Path, params: GaeParams | None = None):
         params = GaeParams(gamma=0.99, lam=0.95)
     out: list[np.ndarray] = []
     for trace_id in sorted(steps):
-        rows = sorted(steps[trace_id], key=lambda r: int(r["t"]))
-        rewards = [float(r["reward"]) for r in rows if "reward" in r and r["reward"] is not None]
-        terminal = [r for r in rows if "reward" not in r or r["reward"] is None]
-        if len(terminal) > 1:
+        rows = sorted(steps[trace_id], key=lambda row: row[0])
+        rewards = [reward for _, reward, _ in rows if reward is not None]
+        terminal = len(rows) - len(rewards)
+        if terminal > 1:
             raise ValidationError(f"trace {trace_id!r}: multiple terminal-value rows")
-        expected_t = list(range(len(rows)))
-        if [int(r["t"]) for r in rows] != expected_t:
+        if [t for t, _, _ in rows] != list(range(len(rows))):
             raise ValidationError(f"trace {trace_id!r}: step indices must be 0..T without gaps")
-        if terminal and int(terminal[0]["t"]) != len(rows) - 1:
+        if terminal and rows[-1][1] is not None:
             raise ValidationError(f"trace {trace_id!r}: terminal-value row must come last")
-        values = [float(r["value"]) for r in rows]
+        values = [value for _, _, value in rows]
         if not terminal:
             values.append(0.0)
         trace = TrajectoryTrace(rewards=np.asarray(rewards), values=np.asarray(values))

@@ -24,7 +24,7 @@ from svdsurgery.advantage import (
     _kde,
     _kde_on_grid,
 )
-from svdsurgery.errors import ValidationError
+from svdsurgery.errors import NumericalError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +218,14 @@ def test_summarize_fixed_bin_count():
     assert s.estimator_config["bins_used"] == 32
 
 
+def test_normal_cdf_matches_scipy_ndtr():
+    from scipy.special import ndtr
+
+    z = np.concatenate([np.linspace(-40.0, 40.0, 80001), [1e4, -1e4]])
+    want = ndtr(z)
+    assert np.all(np.abs(advantage._normal_cdf(z) - want) <= 2.0**-52 + 1e-12 * want)
+
+
 # ---------------------------------------------------------------------------
 # multimodality
 
@@ -259,6 +267,14 @@ def test_silverman_input_validation():
         silverman_test(np.arange(10), bootstrap=150)
     with pytest.raises(ValidationError, match="bootstrap"):
         silverman_test(np.random.default_rng(0).standard_normal(100), bootstrap=10)
+
+
+def test_critical_bandwidth_that_never_converges_raises():
+    # the outlier stretches the grid so far that no bandwidth shows 3 modes:
+    # bisection halves h towards 0 without ever bracketing it
+    x = np.append(np.random.default_rng(220).standard_normal(300), 1e4)
+    with pytest.raises(NumericalError, match="converge"):
+        silverman_test(x, mode_budget=2, bootstrap=100)
 
 
 def modes_by_runs(values):
@@ -426,3 +442,20 @@ def test_read_rejects_mixed_and_malformed(tmp_path):
     bad.write_text("{not json}\n")
     with pytest.raises(ValidationError, match="invalid JSON"):
         read_rollout_log(bad)
+
+
+SAMPLE_ROW = '{"advantage": 1.0}'
+STEP_ROW = '{"trace_id": 1, "t": 0, "reward": 1.0, "value": 0.5}'
+
+
+@pytest.mark.parametrize("first, bad", [
+    (SAMPLE_ROW, "1"),
+    (SAMPLE_ROW, '{"advantage": null}'),
+    (STEP_ROW, '{"trace_id": 1, "t": "x", "reward": 1, "value": 1}'),
+    (STEP_ROW, '{"trace_id": 1, "t": 1, "reward": "x", "value": 1}'),
+])
+def test_read_rejects_malformed_fields_with_their_line(first, bad, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(first + "\n" + bad + "\n")
+    with pytest.raises(ValidationError, match=r"bad\.jsonl:2: "):
+        read_rollout_log(path)

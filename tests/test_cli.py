@@ -408,3 +408,23 @@ def test_sweep_failing_numerically_at_a_later_grid_point_writes_nothing(pair, tm
     # a failed rerun into a used directory leaves the earlier outputs as they were
     assert run_manifest(tmp_path, restore_manifest(pair, earlier, mode="values", sweep=sweep)) == 3
     assert files(earlier) == before
+
+
+@pytest.mark.parametrize(
+    "flag", ["--bootstrap=0", "--bootstrap=-3", "--mode-budget=0", "--seed=-1"]
+)
+def test_invalid_estimator_setting_exits_2_and_writes_nothing(flag, rollouts, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["adv-stats", "--input", str(rollouts), "--out", str(out), flag]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["x", True, None])
+def test_non_numeric_threshold_exits_2_and_writes_nothing(value, rollouts, tmp_path, capsys):
+    thresholds = tmp_path / "thresholds.json"
+    thresholds.write_text(json.dumps({"kl_max": value}))
+    out = tmp_path / "out"
+    assert cli.main(["adv-stats", "--input", str(rollouts), "--out", str(out),
+                     "--bootstrap", "20", "--thresholds", str(thresholds)]) == 2
+    assert "kl_max" in capsys.readouterr().err
+    assert not out.exists()
