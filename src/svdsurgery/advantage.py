@@ -389,8 +389,9 @@ class ThresholdConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(f"threshold {f.name} must be a number, got {value!r}")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValidationError(f"threshold {f.name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -464,9 +465,10 @@ def read_rollout_log(path: str | Path, params: GaeParams | None = None):
                 if "advantage" in rec:
                     advantages.append(float(rec["advantage"]))
                 elif "trace_id" in rec and "t" in rec and "value" in rec:
-                    reward = rec.get("reward")
-                    row = (int(rec["t"]), None if reward is None else float(reward),
-                           float(rec["value"]))
+                    t, reward = rec["t"], rec.get("reward")
+                    if not (type(t) is int or type(t) is float and t.is_integer()):
+                        raise ValueError(f"step index t must be an integer, got {t!r}")
+                    row = (int(t), None if reward is None else float(reward), float(rec["value"]))
                     steps.setdefault(str(rec["trace_id"]), []).append(row)
                 else:
                     raise ValidationError(

@@ -5,12 +5,10 @@ Subcommands: inspect, svd-diff, angles, restore, adv-stats, penalty, plus
 output per grid point). Exit codes: 0 success, 2 validation failure,
 3 numerical failure, 4 I/O failure.
 
-Every command validates its inputs and finishes its computation before the
-first byte of output is written. A restore sweep writes each output under a
-temporary name and renames them into place only after every grid point has
-succeeded, so a failed sweep leaves no output files. Reports are
-byte-deterministic for a fixed manifest, inputs, and seed; pass --stamp to
-embed a timestamp.
+Every command writes into a hidden staging directory inside --out and moves
+the files into place only after it succeeds, so a failed command leaves no
+output files. Reports are byte-deterministic for a fixed manifest, inputs,
+and seed; pass --stamp to embed a timestamp.
 
 A manifest is a JSON object naming a `command` (svd-diff, angles, restore,
 adv-stats or penalty) plus that command's parameters:
@@ -21,9 +19,10 @@ adv-stats or penalty) plus that command's parameters:
 - `inputs` is an object holding any of those keys, usually the input
   files; a key at the top level overrides it;
 - `output_dir` is another name for `out`;
-- `sweep` (restore only) is `{"layers": [...], "ranks": [...]}`; each
-  list replaces the single selector, and every (layers, ranks) pair is
-  one run with its own outputs, all planned before the first is written.
+- `sweep` (restore only) is an object holding `layers` and/or `ranks`,
+  each a non-empty list of selector strings; each list replaces the single
+  selector, and every (layers, ranks) pair is one run with its own
+  outputs, all planned before the first is written.
 
 Any other key is an error. `kinds` may be a list or a comma-separated string.
 """
@@ -31,10 +30,13 @@ Any other key is an error. `kinds` may be a list or a comma-separated string.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 from collections import Counter
 from dataclasses import asdict, fields
@@ -76,10 +78,23 @@ def _selector_slug(text: str) -> str:
     return text.replace(":", "-").replace(",", "-")
 
 
-def _prepare_out_dir(path: str | Path) -> Path:
+@contextlib.contextmanager
+def _staged_out(path: str | Path):
+    """Create the output directory `path` and yield a fresh hidden directory inside it.
+
+    Files written there are moved into `path` when the block succeeds; the
+    hidden directory is removed in every case.
+    """
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
+    try:
+        yield stage
+        for staged in sorted(stage.iterdir()):
+            os.replace(staged, out / staged.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
 
 def _base_report(command: str, stamp: bool) -> dict:
     report = {"command": command, "toolkit_version": __version__}
@@ -124,34 +139,32 @@ def _run_compare(params: dict, command: str, stem: str, columns: tuple, parts, t
     part_cols, detail_cols, summary_cols = columns
     ckpt_a, ckpt_b = open_checkpoint(params["a"]), open_checkpoint(params["b"])
     profile = load_profile(params["profile"])
-    results = [
-        (key, name_a, parts(load_matrix(ckpt_a, name_a), load_matrix(ckpt_b, name_b)))
-        for key, name_a, name_b in _present_pairs(ckpt_a, ckpt_b, profile)
-    ]
+    pairs = _present_pairs(ckpt_a, ckpt_b, profile)
 
-    out_dir = _prepare_out_dir(params["out"])
     summary_rows = []
     plot_rows = []
-    for key, name, pair_parts in results:
-        slug = _key_slug(key)
-        for part, rows, values in pair_parts:
-            write_csv(out_dir / ("__".join((stem, slug, *part)) + ".csv"), detail_cols, rows)
-            summary_rows.append((key, name, *part, *values))
-            plot_rows.extend((slug, *part, *row) for row in rows)
-    matrices = _write_table(
-        out_dir / "summary.csv", ["tensor", *part_cols, *summary_cols], summary_rows, _key_slug
-    )
-    report = _base_report(command, params["stamp"])
-    report.update(
-        {
-            "inputs": {"a": str(ckpt_a.path), "b": str(ckpt_b.path), "profile": profile.name},
-            "matrices": matrices,
-            **totals(matrices),
-        }
-    )
-    write_json(out_dir / "summary.json", report)
-    if params["emit_plot_data"]:
-        write_csv(out_dir / "plot_data.csv", ["matrix", *part_cols, *detail_cols], plot_rows)
+    with _staged_out(params["out"]) as stage:
+        for key, name_a, name_b in pairs:
+            slug = _key_slug(key)
+            pair_parts = parts(load_matrix(ckpt_a, name_a), load_matrix(ckpt_b, name_b))
+            for part, rows, values in pair_parts:
+                write_csv(stage / ("__".join((stem, slug, *part)) + ".csv"), detail_cols, rows)
+                summary_rows.append((key, name_a, *part, *values))
+                plot_rows.extend((slug, *part, *row) for row in rows)
+        matrices = _write_table(
+            stage / "summary.csv", ["tensor", *part_cols, *summary_cols], summary_rows, _key_slug
+        )
+        report = _base_report(command, params["stamp"])
+        report.update(
+            {
+                "inputs": {"a": str(ckpt_a.path), "b": str(ckpt_b.path), "profile": profile.name},
+                "matrices": matrices,
+                **totals(matrices),
+            }
+        )
+        write_json(stage / "summary.json", report)
+        if params["emit_plot_data"]:
+            write_csv(stage / "plot_data.csv", ["matrix", *part_cols, *detail_cols], plot_rows)
     return 0
 
 
@@ -222,19 +235,12 @@ def run_restore(params: dict) -> int:
             stem = f"{plan.mode}__layers-{_selector_slug(layers)}__ranks-{_selector_slug(ranks)}"
             plans.append((stem, plan))
 
-    out_dir = _prepare_out_dir(params["out"])
-    staged: list[tuple[Path, Path]] = []  # (temporary, final) paths
-
-    def stage(name: str) -> Path:
-        staged.append((out_dir / f".{name}.partial", out_dir / name))
-        return staged[-1][0]
-
-    try:
+    with _staged_out(params["out"]) as stage:
         for stem, plan in plans:
             checkpoint = f"{stem}.safetensors"
-            report = run_surgery(plan, stage(checkpoint), force_f32=params["force_f32"])
+            report = run_surgery(plan, stage / checkpoint, force_f32=params["force_f32"])
             records = _write_table(
-                stage(f"{stem}.report.csv"),
+                stage / f"{stem}.report.csv",
                 _RECORD_FIELDS,
                 [(rec.key, *(getattr(rec, f) for f in _RECORD_FIELDS)) for rec in report.records],
                 lambda key: key.label,
@@ -243,7 +249,7 @@ def run_restore(params: dict) -> int:
             payload.update(
                 {
                     "plan": report.plan,
-                    "output_checkpoint": str(out_dir / checkpoint),
+                    "output_checkpoint": str(Path(params["out"]) / checkpoint),
                     "edited_matrices": report.edited_count,
                     "records": records,
                     "copied_tensors": report.copied_tensors,
@@ -256,13 +262,7 @@ def run_restore(params: dict) -> int:
                     },
                 }
             )
-            write_json(stage(f"{stem}.report.json"), payload)
-    except BaseException:
-        for partial, _ in staged:
-            partial.unlink(missing_ok=True)
-        raise
-    for partial, final in staged:
-        os.replace(partial, final)
+            write_json(stage / f"{stem}.report.json", payload)
     return 0
 
 
@@ -297,7 +297,6 @@ def run_adv_stats(params: dict) -> int:
     decision = verdict(summary, thresholds)
     table = histogram_table(samples, cfg)
 
-    out_dir = _prepare_out_dir(params["out"])
     payload = _base_report("adv-stats", params["stamp"])
     payload.update(
         {
@@ -314,12 +313,13 @@ def run_adv_stats(params: dict) -> int:
             ),
         }
     )
-    write_json(out_dir / "summary.json", payload)
-    write_csv(
-        out_dir / "histogram.csv",
-        ["bin_left", "bin_right", "count", "p", "matched_normal_mass"],
-        table,
-    )
+    with _staged_out(params["out"]) as stage:
+        write_json(stage / "summary.json", payload)
+        write_csv(
+            stage / "histogram.csv",
+            ["bin_left", "bin_right", "count", "p", "matched_normal_mass"],
+            table,
+        )
     return 0
 
 
@@ -351,13 +351,6 @@ def run_penalty(params: dict) -> int:
     if not rows:
         raise ValidationError("no matrices selected; check --kinds against the profile")
 
-    out_dir = _prepare_out_dir(params["out"])
-    _write_table(
-        out_dir / "penalty.csv",
-        ["tensor", "rank_used", "penalty", "degenerate_boundary"],
-        rows,
-        _key_slug,
-    )
     payload = _base_report("penalty", params["stamp"])
     payload.update(
         {
@@ -372,7 +365,14 @@ def run_penalty(params: dict) -> int:
             "matrices": len(rows),
         }
     )
-    write_json(out_dir / "summary.json", payload)
+    with _staged_out(params["out"]) as stage:
+        _write_table(
+            stage / "penalty.csv",
+            ["tensor", "rank_used", "penalty", "degenerate_boundary"],
+            rows,
+            _key_slug,
+        )
+        write_json(stage / "summary.json", payload)
     return 0
 
 
@@ -411,7 +411,7 @@ def _manifest_params(command: str, given: dict) -> dict:
         raise ValidationError(f"{command} manifest needs: {names}")
     params = {k: spec.get("default") for k, spec in flags.items()}
     for key, value in given.items():
-        convert = flags.get(key, {}).get("type")
+        convert = _sweep if key == "sweep" else flags.get(key, {}).get("type")
         try:
             params[key] = convert(value) if convert else value
         except (TypeError, ValueError) as exc:
@@ -435,7 +435,10 @@ def run_manifest(params: dict) -> int:
             f"unknown manifest command {command!r}; expected one of {sorted(_MANIFEST_COMMANDS)}"
         )
 
-    given = dict(manifest.get("inputs", {}))
+    inputs = manifest.get("inputs", {})
+    if not isinstance(inputs, dict):
+        raise ValidationError(f"manifest key 'inputs' must be a JSON object, got {inputs!r}")
+    given = dict(inputs)
     given.update((k, v) for k, v in manifest.items() if k not in ("inputs", "command"))
     if "output_dir" in given:
         given["out"] = given.pop("output_dir")
@@ -456,6 +459,20 @@ def _kinds(value) -> tuple[str, ...]:
 
 def _bins(value):
     return value if value == "fd" else int(value)
+
+
+def _sweep(value) -> dict:
+    """A restore sweep: `layers` and/or `ranks`, each a non-empty list of selector strings."""
+    if not isinstance(value, dict) or not value:
+        raise ValueError(f"must be an object with 'layers' and/or 'ranks', got {value!r}")
+    unknown = sorted(set(value) - {"layers", "ranks"})
+    if unknown:
+        raise ValueError(f"unknown sweep key(s): {', '.join(unknown)}")
+    for axis, selectors in value.items():
+        if not (isinstance(selectors, list) and selectors
+                and all(isinstance(text, str) for text in selectors)):
+            raise ValueError(f"{axis} must be a non-empty list of strings, got {selectors!r}")
+    return value
 
 
 _OUT = ("--out", {"required": True, "help": "output directory"})

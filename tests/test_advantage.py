@@ -453,6 +453,7 @@ STEP_ROW = '{"trace_id": 1, "t": 0, "reward": 1.0, "value": 0.5}'
     (SAMPLE_ROW, '{"advantage": null}'),
     (STEP_ROW, '{"trace_id": 1, "t": "x", "reward": 1, "value": 1}'),
     (STEP_ROW, '{"trace_id": 1, "t": 1, "reward": "x", "value": 1}'),
+    (STEP_ROW, '{"trace_id": 1, "t": 1.7, "reward": 1, "value": 1}'),
 ])
 def test_read_rejects_malformed_fields_with_their_line(first, bad, tmp_path):
     path = tmp_path / "bad.jsonl"

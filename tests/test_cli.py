@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from svdsurgery import cli, surgery
+from svdsurgery.errors import WriteError
 
 from conftest import pack_container, synth_decoder_arrays
 
@@ -419,7 +420,7 @@ def test_invalid_estimator_setting_exits_2_and_writes_nothing(flag, rollouts, tm
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["x", True, None])
+@pytest.mark.parametrize("value", ["x", True, None, float("nan"), float("inf"), float("-inf")])
 def test_non_numeric_threshold_exits_2_and_writes_nothing(value, rollouts, tmp_path, capsys):
     thresholds = tmp_path / "thresholds.json"
     thresholds.write_text(json.dumps({"kl_max": value}))
@@ -428,3 +429,55 @@ def test_non_numeric_threshold_exits_2_and_writes_nothing(value, rollouts, tmp_p
                      "--bootstrap", "20", "--thresholds", str(thresholds)]) == 2
     assert "kl_max" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, named", [
+    ({"inputs": "x"}, ["inputs"]),
+    ({"inputs": 5}, ["inputs"]),
+    ({"sweep": ["top:4"]}, ["sweep"]),
+    ({"sweep": {"ranks": "top:4"}}, ["sweep", "ranks"]),
+    ({"sweep": {"rank": ["top:4"]}}, ["sweep", "rank"]),
+])
+def test_malformed_manifest_inputs_or_sweep_exits_2_and_names_the_key(
+    extra, named, pair, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    assert run_manifest(tmp_path, {**restore_manifest(pair, out, mode="values"), **extra}) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in named)
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# one output path: staging inside --out
+
+
+WRITERS = ["svd-diff", "angles", "restore-values", "penalty", "adv-stats"]
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_failed_report_write_leaves_no_output(name, pair, rollouts, tmp_path, monkeypatch):
+    argv = commands(pair, rollouts)[name]
+    earlier = tmp_path / "earlier"
+    assert cli.main(argv + ["--out", str(earlier)]) == 0
+    before = files(earlier)
+
+    def failing_write_json(path, payload):
+        path.write_text("{")  # a write cut short leaves a truncated file
+        raise WriteError(f"cannot write {path}: no space left on device")
+
+    monkeypatch.setattr(cli, "write_json", failing_write_json)
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 4
+    assert list(out.iterdir()) == []
+    assert cli.main(argv + ["--out", str(earlier)]) == 4
+    assert files(earlier) == before
+    assert not any(p.name.startswith(".") for p in earlier.iterdir())
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_successful_run_leaves_no_staging_directory(name, pair, rollouts, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(commands(pair, rollouts)[name] + ["--out", str(out)]) == 0
+    assert files(out)
+    assert not any(p.name.startswith(".") for p in out.iterdir())
