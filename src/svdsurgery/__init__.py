@@ -49,6 +49,7 @@ from .tensorstore import (
     Checkpoint,
     MatrixKey,
     NamingProfile,
+    encode_edit,
     load_matrix,
     load_profile,
     open_checkpoint,
@@ -80,6 +81,7 @@ __all__ = [
     "ValidationError",
     "WriteError",
     "delta_sigma",
+    "encode_edit",
     "fit_reference",
     "gae",
     "load_matrix",

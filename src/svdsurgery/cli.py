@@ -16,13 +16,18 @@ adv-stats or penalty) plus that command's parameters:
 - each flag is a key spelled without the leading dashes and with `-` as
   `_` (`--emit-plot-data` is `emit_plot_data`); a flag left out takes its
   command-line default, and a required flag left out is an error;
+- on/off flags (`stamp`, `force_f32`, `emit_plot_data`) take JSON `true`
+  or `false`, numeric flags take a number, and every other flag takes a
+  string;
 - `inputs` is an object holding any of those keys, usually the input
   files; a key at the top level overrides it;
 - `output_dir` is another name for `out`;
 - `sweep` (restore only) is an object holding `layers` and/or `ranks`,
   each a non-empty list of selector strings; each list replaces the single
   selector, and every (layers, ranks) pair is one run with its own
-  outputs, all planned before the first is written.
+  outputs, all planned before the first is written. The sweep runs
+  matrix by matrix, so each target is decomposed once per sweep, not once
+  per grid point.
 
 Any other key is an error. `kinds` may be a list or a comma-separated string.
 """
@@ -54,7 +59,7 @@ from .advantage import (
     summarize,
     verdict,
 )
-from .errors import ToolkitError, ValidationError
+from .errors import ToolkitError, ValidationError, WriteError
 from .penalty import fit_reference, penalty_value
 from .reports import write_csv, write_json
 from .spectral import delta_sigma, matrix_angles
@@ -82,16 +87,21 @@ def _selector_slug(text: str) -> str:
 def _staged_out(path: str | Path):
     """Create the output directory `path` and yield a fresh hidden directory inside it.
 
-    Files written there are moved into `path` when the block succeeds; the
-    hidden directory is removed in every case.
+    Files written there are moved into `path` when the block succeeds,
+    unless one of their names is taken there by something other than a
+    file: then none is moved. The hidden directory is removed in every case.
     """
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
     try:
         yield stage
-        for staged in sorted(stage.iterdir()):
-            os.replace(staged, out / staged.name)
+        staged = sorted(stage.iterdir())
+        taken = [f.name for f in staged if (out / f.name).exists() and not (out / f.name).is_file()]
+        if taken:
+            raise WriteError(f"cannot write into {out}: not a file: {', '.join(taken)}")
+        for f in staged:
+            os.replace(f, out / f.name)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
 
@@ -220,7 +230,7 @@ def run_restore(params: dict) -> int:
     donor, host = open_checkpoint(params["donor"]), open_checkpoint(params["host"])
     profile = load_profile(params["profile"])
     sweep = params.get("sweep") or {}
-    plans = []
+    stems, plans = [], []
     for layers in sweep.get("layers") or [params["layers"]]:
         for ranks in sweep.get("ranks") or [params["ranks"]]:
             selection = SelectionSpec(
@@ -233,12 +243,13 @@ def run_restore(params: dict) -> int:
                 profile=profile, align=params["align"],
             )
             stem = f"{plan.mode}__layers-{_selector_slug(layers)}__ranks-{_selector_slug(ranks)}"
-            plans.append((stem, plan))
+            stems.append(stem)
+            plans.append(plan)
 
     with _staged_out(params["out"]) as stage:
-        for stem, plan in plans:
-            checkpoint = f"{stem}.safetensors"
-            report = run_surgery(plan, stage / checkpoint, force_f32=params["force_f32"])
+        outs = [stage / f"{stem}.safetensors" for stem in stems]
+        reports = run_surgery(plans, outs, force_f32=params["force_f32"])
+        for stem, report in zip(stems, reports):
             records = _write_table(
                 stage / f"{stem}.report.csv",
                 _RECORD_FIELDS,
@@ -249,7 +260,7 @@ def run_restore(params: dict) -> int:
             payload.update(
                 {
                     "plan": report.plan,
-                    "output_checkpoint": str(Path(params["out"]) / checkpoint),
+                    "output_checkpoint": str(Path(params["out"]) / f"{stem}.safetensors"),
                     "edited_matrices": report.edited_count,
                     "records": records,
                     "copied_tensors": report.copied_tensors,
@@ -411,9 +422,15 @@ def _manifest_params(command: str, given: dict) -> dict:
         raise ValidationError(f"{command} manifest needs: {names}")
     params = {k: spec.get("default") for k, spec in flags.items()}
     for key, value in given.items():
-        convert = _sweep if key == "sweep" else flags.get(key, {}).get("type")
+        spec = flags.get(key, {})
+        if key == "sweep":
+            convert = _sweep
+        elif spec.get("action") == "store_true":
+            convert = _boolean
+        else:
+            convert = spec.get("type", _string)
         try:
-            params[key] = convert(value) if convert else value
+            params[key] = convert(value)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"manifest key {key!r}: {exc}") from exc
     return params
@@ -459,6 +476,20 @@ def _kinds(value) -> tuple[str, ...]:
 
 def _bins(value):
     return value if value == "fd" else int(value)
+
+
+def _boolean(value) -> bool:
+    """A manifest value for a store_true flag: JSON true or false only."""
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _string(value) -> str:
+    """A manifest value for a flag that takes its text as given."""
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
 
 
 def _sweep(value) -> dict:

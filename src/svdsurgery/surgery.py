@@ -19,9 +19,11 @@ from .spectral import DEGENERATE_GAP_RATIO, SvdTriple, procrustes, svd
 from .tensorstore import (
     DEFAULT_SURGERY_KINDS,
     Checkpoint,
+    EncodedEdit,
     MatrixKey,
     NamingProfile,
     WriteReport,
+    encode_edit,
     load_matrix,
     pair_matrices,
     resolve_keys,
@@ -285,48 +287,87 @@ def plan_selection(plan: SurgeryPlan) -> list[tuple[MatrixKey, str, str]]:
     return selected
 
 
-def run_surgery(plan: SurgeryPlan, out: str | Path, force_f32: bool = False) -> SurgeryReport:
-    """Execute a plan and write the edited checkpoint to `out`.
+def _splice_target(
+    target: tuple[MatrixKey, str, str], plans: list[SurgeryPlan], force_f32: bool
+) -> list[tuple[MatrixRecord, EncodedEdit | None]]:
+    """The record, and the encoded edit if any, of one target for each of `plans`.
 
-    Every matrix in `plan.targets` is replaced by the mixed_matrix output;
-    all other tensors are copied byte-exact. A selection that resolves to no
-    ranks leaves the tensor untouched (no SVD round trip).
+    Host and donor are decomposed once, and only when some plan selects
+    ranks of this matrix. Each mixed matrix is narrowed to its stored dtype
+    as soon as its record is taken, so no float64 result outlives its plan.
     """
-    report = SurgeryReport(plan=plan.echo())
-
-    edits: dict[str, np.ndarray] = {}
-    for key, host_name, donor_name in plan.targets:
-        w_host = load_matrix(plan.host, host_name)
-        thin = min(w_host.shape)
-        ranks = plan.selection.ranks.resolve(thin)
-        if ranks.size == 0:
-            report.records.append(MatrixRecord(key=key, tensor=host_name, status="copied"))
-            continue
-        w_donor = load_matrix(plan.donor, donor_name)
+    key, host_name, donor_name = target
+    host, donor = plans[0].host, plans[0].donor
+    w_host = load_matrix(host, host_name)
+    rank_sets = [plan.selection.ranks.resolve(min(w_host.shape)) for plan in plans]
+    if any(ranks.size for ranks in rank_sets):
+        w_donor = load_matrix(donor, donor_name)
         host_t = svd(w_host)
         donor_t = svd(w_donor)
+    results = []
+    for plan, ranks in zip(plans, rank_sets):
+        if ranks.size == 0:
+            results.append((MatrixRecord(key=key, tensor=host_name, status="copied"), None))
+            continue
+        plan_donor_t = donor_t
         if plan.align == "procrustes" and plan.mode == "vectors":
-            donor_t = _aligned_donor(host_t, donor_t, ranks)
-        w_out = mixed_matrix(host_t, donor_t, plan.mode, ranks)
-        edits[host_name] = w_out
-        report.records.append(
-            MatrixRecord(
-                key=key,
-                tensor=host_name,
-                status="edited",
-                ranks_touched=int(ranks.size),
-                rank_lo=int(ranks.min()),
-                rank_hi=int(ranks.max()),
-                fro_vs_host=float(np.linalg.norm(w_out - w_host)),
-                fro_vs_donor=float(np.linalg.norm(w_out - w_donor)),
-                max_entry_change=float(np.max(np.abs(w_out - w_host))),
-                degenerate_boundary=(
-                    _boundary_degenerate(host_t.sigma, ranks)
-                    or _boundary_degenerate(donor_t.sigma, ranks)
-                ),
-            )
+            plan_donor_t = _aligned_donor(host_t, donor_t, ranks)
+        w_out = mixed_matrix(host_t, plan_donor_t, plan.mode, ranks)
+        record = MatrixRecord(
+            key=key,
+            tensor=host_name,
+            status="edited",
+            ranks_touched=int(ranks.size),
+            rank_lo=int(ranks.min()),
+            rank_hi=int(ranks.max()),
+            fro_vs_host=float(np.linalg.norm(w_out - w_host)),
+            fro_vs_donor=float(np.linalg.norm(w_out - w_donor)),
+            max_entry_change=float(np.max(np.abs(w_out - w_host))),
+            degenerate_boundary=(
+                _boundary_degenerate(host_t.sigma, ranks)
+                or _boundary_degenerate(plan_donor_t.sigma, ranks)
+            ),
         )
+        results.append((record, encode_edit(host, host_name, w_out, force_f32)))
+        del w_out, plan_donor_t  # free before the next plan mixes its own
+    return results
 
-    report.copied_tensors = sorted(set(plan.host.index) - set(edits))
-    report.write_report = write_checkpoint(plan.host, edits, out, force_f32=force_f32)
-    return report
+
+def run_surgery(
+    plans: list[SurgeryPlan], outs: list[str | Path], force_f32: bool = False
+) -> list[SurgeryReport]:
+    """Execute plans that share a host and donor; plan i writes its checkpoint to `outs[i]`.
+
+    The run is matrix-major: every matrix that any plan targets is loaded
+    and decomposed once, in key order, and mixed for each plan that selects
+    it (see `_splice_target`). Every matrix in a plan's `targets` is
+    replaced by the mixed_matrix output; all other tensors are copied
+    byte-exact. A selection that resolves to no ranks leaves the tensor
+    untouched, and a matrix no plan selects ranks of gets no SVD.
+    """
+    if len(plans) != len(outs):
+        raise ValidationError(f"{len(plans)} surgery plans but {len(outs)} output paths")
+    if len({(str(plan.host.path), str(plan.donor.path)) for plan in plans}) > 1:
+        raise ValidationError("surgery plans run together must share one host and one donor")
+
+    chosen = [set(plan.targets) for plan in plans]
+    records: list[dict] = [{} for _ in plans]
+    edits: list[dict[str, EncodedEdit]] = [{} for _ in plans]
+    for target in sorted(set().union(*chosen), key=lambda t: (t[0].sort_key(), t[1], t[2])):
+        users = [i for i, targets in enumerate(chosen) if target in targets]
+        spliced = _splice_target(target, [plans[i] for i in users], force_f32)
+        for i, (record, edit) in zip(users, spliced):
+            records[i][target] = record
+            if edit is not None:
+                edits[i][target[1]] = edit
+
+    reports = []
+    for plan, plan_records, plan_edits, out in zip(plans, records, edits, outs):
+        report = SurgeryReport(
+            plan=plan.echo(),
+            records=[plan_records[target] for target in plan.targets],
+            copied_tensors=sorted(set(plan.host.index) - set(plan_edits)),
+        )
+        report.write_report = write_checkpoint(plan.host, plan_edits, out)
+        reports.append(report)
+    return reports

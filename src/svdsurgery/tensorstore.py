@@ -7,9 +7,10 @@ payload section. The optional "__metadata__" header entry is a
 string-to-string map and is preserved on rewrite.
 
 All analysis happens in float64. Narrowing back to a stored dtype happens
-only when a checkpoint is written, with round-to-nearest-even. BF16 has no
-native numpy dtype; values pass through float32 (every BF16 value is exactly
-representable there) and are then rounded to BF16 on the raw bits.
+when an edit is encoded (`encode_edit`), with round-to-nearest-even, so a
+writer holds each edit in its stored width rather than in float64. BF16 has
+no native numpy dtype; values pass through float32 (every BF16 value is
+exactly representable there) and are then rounded to BF16 on the raw bits.
 """
 
 from __future__ import annotations
@@ -212,56 +213,77 @@ class WriteReport:
     rounding_errors: dict[str, float] = field(default_factory=dict)
 
 
-def write_checkpoint(
-    base: Checkpoint,
-    edits: dict[str, np.ndarray],
-    out: str | Path,
-    force_f32: bool = False,
-) -> WriteReport:
-    """Write `base` with `edits` substituted, all other tensors copied byte-exact.
+@dataclass(frozen=True)
+class EncodedEdit:
+    """A tensor's replacement values, already narrowed to the dtype they are stored in."""
 
-    Edited tensors are rounded back to their stored dtype (or F32 when
-    `force_f32`). Payload keeps the base file's byte order, so an edit-free
-    write reproduces the payload bytes exactly; the header is re-emitted
-    with names sorted.
+    dtype: str
+    data: bytes
+    #: max |stored - requested| after dtype rounding
+    rounding_error: float
+
+
+def encode_edit(
+    base: Checkpoint, name: str, values: np.ndarray, force_f32: bool = False
+) -> EncodedEdit:
+    """Check float64 `values` against tensor `name` of `base` and narrow them for writing.
+
+    The values are rounded to the tensor's stored dtype, or to F32 when
+    `force_f32`.
     """
-    for name, values in edits.items():
-        if name not in base.index:
-            raise ValidationError(f"edit targets unknown tensor {name!r}")
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.shape != base.index[name].shape:
-            raise ValidationError(
-                f"edit for {name!r} has shape {arr.shape}, checkpoint has {base.index[name].shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError(f"edit for {name!r} contains non-finite values")
+    if name not in base.index:
+        raise ValidationError(f"edit targets unknown tensor {name!r}")
+    shape = base.index[name].shape
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != shape:
+        raise ValidationError(f"edit for {name!r} has shape {arr.shape}, checkpoint has {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NumericalError(f"edit for {name!r} contains non-finite values")
+    dtype = "F32" if force_f32 else base.index[name].dtype
+    data = encode_values(arr, dtype)
+    stored = decode_values(data, dtype).reshape(shape)
+    err = float(np.max(np.abs(stored - arr))) if arr.size else 0.0
+    return EncodedEdit(dtype=dtype, data=data, rounding_error=err)
+
+
+def write_checkpoint(
+    base: Checkpoint, edits: dict[str, EncodedEdit], out: str | Path
+) -> WriteReport:
+    """Write `base` with the encoded `edits` substituted, all other tensors copied byte-exact.
+
+    Payload keeps the base file's byte order, so an edit-free write
+    reproduces the payload bytes exactly; the header is re-emitted with
+    names sorted. Unedited tensors are copied one at a time from one open
+    handle on the base file, so the writer holds no more than the encoded
+    edits and the largest unedited tensor's stored bytes.
+    """
+    for name, edit in edits.items():
+        info = base.index.get(name)
+        if info is None or len(edit.data) != int(np.prod(info.shape)) * DTYPE_SIZES[edit.dtype]:
+            raise ValidationError(f"encoded edit for {name!r} does not fit a tensor of {base.path}")
 
     # preserve the base payload layout order
     layout = sorted(base.index, key=lambda n: (base.index[n].offsets[0], n))
-    report = WriteReport(tensors_written=len(layout), tensors_edited=len(edits))
+    report = WriteReport(
+        tensors_written=len(layout),
+        tensors_edited=len(edits),
+        rounding_errors={name: edits[name].rounding_error for name in layout if name in edits},
+    )
 
-    blobs: dict[str, bytes] = {}
     entries: dict[str, dict] = {}
     cursor = 0
     for name in layout:
         info = base.index[name]
         if name in edits:
-            dtype = "F32" if force_f32 else info.dtype
-            arr = np.asarray(edits[name], dtype=np.float64)
-            blob = encode_values(arr, dtype)
-            stored = decode_values(blob, dtype).reshape(info.shape)
-            err = float(np.max(np.abs(stored - arr))) if arr.size else 0.0
-            report.rounding_errors[name] = err
+            dtype, size = edits[name].dtype, len(edits[name].data)
         else:
-            dtype = info.dtype
-            blob = load_raw(base, name)
-        blobs[name] = blob
+            dtype, size = info.dtype, info.nbytes
         entries[name] = {
             "dtype": dtype,
             "shape": list(info.shape),
-            "data_offsets": [cursor, cursor + len(blob)],
+            "data_offsets": [cursor, cursor + size],
         }
-        cursor += len(blob)
+        cursor += size
 
     header: dict[str, object] = {name: entries[name] for name in sorted(entries)}
     if base.metadata:
@@ -270,14 +292,20 @@ def write_checkpoint(
     pad = (-(HEADER_LEN_BYTES + len(header_bytes))) % 8
     header_bytes += b" " * pad
 
-    try:
-        with open(out, "wb") as fh:
-            fh.write(struct.pack("<Q", len(header_bytes)))
-            fh.write(header_bytes)
-            for name in layout:
-                fh.write(blobs[name])
-    except OSError as exc:
-        raise WriteError(f"cannot write checkpoint to {out}: {exc}") from exc
+    with open(base.path, "rb") as src:
+        try:
+            with open(out, "wb") as fh:
+                fh.write(struct.pack("<Q", len(header_bytes)))
+                fh.write(header_bytes)
+                for name in layout:
+                    if name in edits:
+                        fh.write(edits[name].data)
+                        continue
+                    start, end = base.index[name].offsets
+                    src.seek(base.data_start + start)
+                    fh.write(src.read(end - start))
+        except OSError as exc:
+            raise WriteError(f"cannot write checkpoint to {out}: {exc}") from exc
     return report
 
 

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,12 +438,23 @@ def test_non_numeric_threshold_exits_2_and_writes_nothing(value, rollouts, tmp_p
     ({"sweep": ["top:4"]}, ["sweep"]),
     ({"sweep": {"ranks": "top:4"}}, ["sweep", "ranks"]),
     ({"sweep": {"rank": ["top:4"]}}, ["sweep", "rank"]),
+    ({"layers": 5}, ["layers"]),
+    ({"ranks": ["top:4"]}, ["ranks"]),
+    ({"force_f32": "no"}, ["force_f32"]),
+    ({"stamp": "no"}, ["stamp"]),
+    ({"command": "svd-diff", "emit_plot_data": 1}, ["emit_plot_data"]),
 ])
 def test_malformed_manifest_inputs_or_sweep_exits_2_and_names_the_key(
     extra, named, pair, tmp_path, capsys
 ):
     out = tmp_path / "out"
-    assert run_manifest(tmp_path, {**restore_manifest(pair, out, mode="values"), **extra}) == 2
+    host, donor = (str(p) for p in pair)
+    base = {
+        "restore": restore_manifest(pair, out, mode="values"),
+        "svd-diff": {"command": "svd-diff", "inputs": {"a": host, "b": donor},
+                     "output_dir": str(out)},
+    }[extra.get("command", "restore")]
+    assert run_manifest(tmp_path, {**base, **extra}) == 2
     err = capsys.readouterr().err
     assert all(name in err for name in named)
     assert not out.exists()
@@ -475,9 +487,91 @@ def test_failed_report_write_leaves_no_output(name, pair, rollouts, tmp_path, mo
     assert not any(p.name.startswith(".") for p in earlier.iterdir())
 
 
+def test_output_name_taken_by_a_directory_publishes_nothing(pair, rollouts, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "summary.json").mkdir(parents=True)
+    assert cli.main(commands(pair, rollouts)["svd-diff"] + ["--out", str(out)]) == 4
+    assert "summary.json" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["summary.json"]
+    assert list((out / "summary.json").iterdir()) == []
+
+
 @pytest.mark.parametrize("name", WRITERS)
 def test_successful_run_leaves_no_staging_directory(name, pair, rollouts, tmp_path):
     out = tmp_path / "out"
     assert cli.main(commands(pair, rollouts)[name] + ["--out", str(out)]) == 0
     assert files(out)
     assert not any(p.name.startswith(".") for p in out.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# restore sweeps run matrix by matrix
+
+
+@pytest.mark.parametrize("ranks, edited", [
+    (["top:2", "bottom:1"], 12),
+    (["top:0", "top:2"], 12),
+    (["top:0", "range:40:50"], 0),  # no grid point selects a rank: no SVD at all
+])
+def test_sweep_decomposes_each_edited_matrix_once(ranks, edited, pair, tmp_path, monkeypatch):
+    calls = []
+    original = surgery.svd
+
+    def counted(w):
+        calls.append(w.shape)
+        return original(w)
+
+    monkeypatch.setattr(surgery, "svd", counted)
+    out = tmp_path / "out"
+    sweep = {"layers": ["first:1", "all"], "ranks": ranks}
+    assert run_manifest(tmp_path, restore_manifest(pair, out, mode="values", sweep=sweep)) == 0
+    reports = [json.loads(p.read_text()) for p in sorted(out.glob("*.report.json"))]
+    assert len(reports) == 4
+    union = {r["tensor"] for rep in reports for r in rep["records"] if r["status"] == "edited"}
+    assert len(union) == edited
+    assert len(calls) == 2 * len(union)
+
+
+@pytest.mark.parametrize("flags, sweep", [
+    ({"mode": "values", "force_f32": True},
+     {"layers": ["first:1", "all"], "ranks": ["top:2", "range:1:5"]}),
+    ({"mode": "vectors", "align": "procrustes"},
+     {"layers": ["last:1", "all"], "ranks": ["top:3", "bottom:2"]}),
+    ({"mode": "values"}, {"layers": ["all"], "ranks": ["top:0", "top:4"]}),
+])
+def test_each_sweep_grid_point_matches_the_same_selection_run_alone(flags, sweep, pair, tmp_path):
+    out = tmp_path / "out"
+    assert run_manifest(tmp_path, restore_manifest(pair, out, sweep=sweep, **flags)) == 0
+    swept = files(out)
+    assert len(swept) == 3 * len(sweep["layers"]) * len(sweep["ranks"])
+    alone = {}
+    for layers in sweep["layers"]:
+        for ranks in sweep["ranks"]:
+            shutil.rmtree(out)
+            manifest = restore_manifest(pair, out, layers=layers, ranks=ranks, **flags)
+            assert run_manifest(tmp_path, manifest) == 0
+            alone.update(files(out))
+    assert alone == swept
+
+
+def test_sweep_holds_edits_narrowed_not_in_float64(tmp_path):
+    dim, kv_dim, layers = 256, 64, 3
+    for tag, seed in (("host", 11), ("donor", 23)):
+        arrays = synth_decoder_arrays(seed, layers=layers, dim=dim, kv_dim=kv_dim)
+        bits = {name: ("BF16", (arr.astype(np.float32).view(np.uint32) >> 16).astype(np.uint16))
+                for name, arr in arrays.items()}
+        (tmp_path / f"{tag}.safetensors").write_bytes(pack_container(bits))
+    pair = (tmp_path / "host.safetensors", tmp_path / "donor.safetensors")
+    sweep = {"ranks": ["top:4", "top:16", "bottom:8"]}
+    manifest = restore_manifest(pair, tmp_path / "out", mode="vectors", sweep=sweep)
+    edited_f64_bytes = 3 * layers * 8 * (dim * dim + 2 * kv_dim * dim + 3 * (dim + 4) * dim)
+
+    tracemalloc.start()
+    try:
+        assert run_manifest(tmp_path, manifest) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    reports = [json.loads(p.read_text()) for p in (tmp_path / "out").glob("*.report.json")]
+    assert sum(rep["edited_matrices"] for rep in reports) == 3 * layers * 6
+    assert peak < edited_f64_bytes

@@ -179,7 +179,7 @@ def test_run_surgery_self_splice_is_identity(synth_pair, tmp_path):
     host_path, _ = synth_pair(layers=1)
     plan = _make_plan(host_path, host_path, mode="values")
     out = tmp_path / "self.safetensors"
-    report = run_surgery(plan, out)
+    [report] = run_surgery([plan], [out])
     assert report.edited_count == 6  # q,k,v + three mlp kinds; o stays default-excluded
     host = open_checkpoint(host_path)
     edited = open_checkpoint(out)
@@ -192,9 +192,9 @@ def test_run_surgery_self_splice_is_identity(synth_pair, tmp_path):
 def test_run_surgery_value_splice_round_trip(synth_pair, tmp_path):
     host_path, donor_path = synth_pair(layers=2)
     forward = tmp_path / "fwd.safetensors"
-    run_surgery(_make_plan(host_path, donor_path, mode="values"), forward)
+    run_surgery([_make_plan(host_path, donor_path, mode="values")], [forward])
     back = tmp_path / "back.safetensors"
-    run_surgery(_make_plan(forward, host_path, mode="values"), back)
+    run_surgery([_make_plan(forward, host_path, mode="values")], [back])
 
     host = open_checkpoint(host_path)
     recovered = open_checkpoint(back)
@@ -212,7 +212,7 @@ def test_run_surgery_value_splice_round_trip(synth_pair, tmp_path):
 def test_run_surgery_value_splice_spectra(synth_pair, tmp_path):
     host_path, donor_path = synth_pair(layers=2)
     out = tmp_path / "values.safetensors"
-    report = run_surgery(_make_plan(host_path, donor_path, mode="values"), out)
+    [report] = run_surgery([_make_plan(host_path, donor_path, mode="values")], [out])
     host, donor, edited = map(open_checkpoint, (host_path, donor_path, out))
     for rec in report.records:
         w_out = load_matrix(edited, rec.tensor)
@@ -227,7 +227,7 @@ def test_run_surgery_value_splice_spectra(synth_pair, tmp_path):
 def test_run_surgery_vector_splice_spectra(synth_pair, tmp_path):
     host_path, donor_path = synth_pair(layers=1)
     out = tmp_path / "vectors.safetensors"
-    report = run_surgery(_make_plan(host_path, donor_path, mode="vectors"), out)
+    [report] = run_surgery([_make_plan(host_path, donor_path, mode="vectors")], [out])
     host, donor, edited = map(open_checkpoint, (host_path, donor_path, out))
     for rec in report.records:
         w_out = load_matrix(edited, rec.tensor)
@@ -244,7 +244,7 @@ def test_run_surgery_monotone_layer_selection(synth_pair, tmp_path):
 
     def edited_tensors(layers):
         out = tmp_path / f"mono_{layers.replace(':', '')}.safetensors"
-        report = run_surgery(_make_plan(host_path, donor_path, layers=layers), out)
+        [report] = run_surgery([_make_plan(host_path, donor_path, layers=layers)], [out])
         return {rec.tensor for rec in report.records if rec.status == "edited"}
 
     first1 = edited_tensors("first:1")
@@ -257,7 +257,7 @@ def test_run_surgery_monotone_layer_selection(synth_pair, tmp_path):
 def test_run_surgery_empty_ranks_copies_bytes(synth_pair, tmp_path):
     host_path, donor_path = synth_pair(layers=1)
     out = tmp_path / "none.safetensors"
-    report = run_surgery(_make_plan(host_path, donor_path, ranks="top:0"), out)
+    [report] = run_surgery([_make_plan(host_path, donor_path, ranks="top:0")], [out])
     assert report.edited_count == 0
     assert all(rec.status == "copied" for rec in report.records)
     host = open_checkpoint(host_path)
@@ -271,7 +271,7 @@ def test_run_surgery_empty_ranks_copies_bytes(synth_pair, tmp_path):
 def test_run_surgery_report_contents(synth_pair, tmp_path):
     host_path, donor_path = synth_pair(layers=1)
     out = tmp_path / "rep.safetensors"
-    report = run_surgery(_make_plan(host_path, donor_path, ranks="top:3"), out)
+    [report] = run_surgery([_make_plan(host_path, donor_path, ranks="top:3")], [out])
     assert report.plan["mode"] == "values"
     assert report.plan["ranks"] == "top:3"
     rec = report.records[0]
@@ -297,8 +297,8 @@ def test_run_surgery_flags_degenerate_boundary(tmp_path):
     donor_path = tmp_path / "donor.safetensors"
     host_path.write_bytes(host)
     donor_path.write_bytes(donor)
-    report = run_surgery(
-        _make_plan(host_path, donor_path, ranks="top:1"), tmp_path / "out.safetensors"
+    [report] = run_surgery(
+        [_make_plan(host_path, donor_path, ranks="top:1")], [tmp_path / "out.safetensors"]
     )
     assert report.records[0].degenerate_boundary
 
@@ -310,7 +310,7 @@ def test_run_surgery_shape_mismatch_rejected(tmp_path):
     host_path.write_bytes(pack_container({name: ("F64", np.eye(4))}))
     donor_path.write_bytes(pack_container({name: ("F64", np.eye(5))}))
     with pytest.raises(ValidationError, match="shape"):
-        run_surgery(_make_plan(host_path, donor_path), tmp_path / "out.safetensors")
+        run_surgery([_make_plan(host_path, donor_path)], [tmp_path / "out.safetensors"])
 
 
 def test_run_surgery_missing_donor_key_rejected(tmp_path):
@@ -321,4 +321,16 @@ def test_run_surgery_missing_donor_key_rejected(tmp_path):
     host_path.write_bytes(pack_container({q: ("F64", np.eye(4)), k: ("F64", np.eye(4))}))
     donor_path.write_bytes(pack_container({q: ("F64", np.eye(4))}))
     with pytest.raises(ValidationError, match="donor checkpoint has no tensor"):
-        run_surgery(_make_plan(host_path, donor_path), tmp_path / "out.safetensors")
+        run_surgery([_make_plan(host_path, donor_path)], [tmp_path / "out.safetensors"])
+
+
+def test_run_surgery_plans_must_share_host_and_donor(synth_pair, tmp_path):
+    host_path, donor_path = synth_pair(layers=1)
+    plans = [_make_plan(host_path, donor_path), _make_plan(donor_path, host_path)]
+    outs = [tmp_path / "a.safetensors", tmp_path / "b.safetensors"]
+    with pytest.raises(ValidationError, match="share"):
+        run_surgery(plans, outs)
+    with pytest.raises(ValidationError, match="output paths"):
+        run_surgery(plans[:1], outs)
+    assert not any(out.exists() for out in outs)
+

@@ -13,6 +13,7 @@ from svdsurgery.tensorstore import (
     BUILTIN_PROFILES,
     NamingProfile,
     decode_values,
+    encode_edit,
     encode_values,
     load_matrix,
     load_profile,
@@ -261,7 +262,7 @@ def test_write_f32_exact_edit_roundtrips(write_container, tmp_path):
     ckpt = open_checkpoint(path)
     edit = np.array([[0.5, -2.0], [4.0, 128.0]])  # exactly representable in F32
     out = tmp_path / "edited.safetensors"
-    report = write_checkpoint(ckpt, {"w": edit}, out)
+    report = write_checkpoint(ckpt, {"w": encode_edit(ckpt, "w", edit)}, out)
     assert report.rounding_errors["w"] == 0.0
     np.testing.assert_array_equal(load_matrix(open_checkpoint(out), "w"), edit)
 
@@ -272,7 +273,7 @@ def test_write_bf16_edit_rounds_to_nearest_even(write_container, tmp_path):
     ckpt = open_checkpoint(path)
     edit = rng.standard_normal((3, 5)) * 2.5
     out = tmp_path / "edited.safetensors"
-    report = write_checkpoint(ckpt, {"w": edit}, out)
+    report = write_checkpoint(ckpt, {"w": encode_edit(ckpt, "w", edit)}, out)
     got = load_matrix(open_checkpoint(out), "w")
     np.testing.assert_array_equal(got, np.vectorize(bf16_oracle)(edit))
     assert report.rounding_errors["w"] == pytest.approx(np.max(np.abs(got - edit)))
@@ -283,7 +284,7 @@ def test_write_force_f32(write_container, tmp_path):
     ckpt = open_checkpoint(path)
     edit = np.full((2, 2), 1.0 + 2.0**-12)  # not representable in BF16
     out = tmp_path / "f32.safetensors"
-    write_checkpoint(ckpt, {"w": edit}, out, force_f32=True)
+    write_checkpoint(ckpt, {"w": encode_edit(ckpt, "w", edit, force_f32=True)}, out)
     reopened = open_checkpoint(out)
     assert reopened.index["w"].dtype == "F32"
     np.testing.assert_array_equal(load_matrix(reopened, "w"), edit)
@@ -294,11 +295,22 @@ def test_write_rejects_bad_edits(write_container, tmp_path):
     ckpt = open_checkpoint(path)
     out = tmp_path / "out.safetensors"
     with pytest.raises(ValidationError, match="unknown tensor"):
-        write_checkpoint(ckpt, {"nope": np.zeros((2, 2))}, out)
+        encode_edit(ckpt, "nope", np.zeros((2, 2)))
     with pytest.raises(ValidationError, match="shape"):
-        write_checkpoint(ckpt, {"w": np.zeros((3, 3))}, out)
+        encode_edit(ckpt, "w", np.zeros((3, 3)))
     with pytest.raises(NumericalError, match="non-finite"):
-        write_checkpoint(ckpt, {"w": np.full((2, 2), np.nan)}, out)
+        encode_edit(ckpt, "w", np.full((2, 2), np.nan))
+
+
+def test_write_rejects_an_encoded_edit_that_does_not_fit(write_container, tmp_path):
+    path = write_container({"w": ("F32", np.zeros((2, 2))), "u": ("F32", np.zeros((3, 3)))})
+    ckpt = open_checkpoint(path)
+    out = tmp_path / "out.safetensors"
+    edit = encode_edit(ckpt, "w", np.ones((2, 2)))
+    for edits in ({"u": edit}, {"nope": edit}):
+        with pytest.raises(ValidationError, match="does not fit"):
+            write_checkpoint(ckpt, edits, out)
+    assert not out.exists()
 
 
 def test_write_unwritable_path(write_container, tmp_path):
