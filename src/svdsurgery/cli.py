@@ -17,8 +17,9 @@ adv-stats or penalty) plus that command's parameters:
   `_` (`--emit-plot-data` is `emit_plot_data`); a flag left out takes its
   command-line default, and a required flag left out is an error;
 - on/off flags (`stamp`, `force_f32`, `emit_plot_data`) take JSON `true`
-  or `false`, numeric flags take a number, and every other flag takes a
-  string;
+  or `false`; integer flags (`rank`, `bootstrap`, `seed`, `mode_budget`)
+  take a JSON integer, `bins` takes one or "fd", and `gamma` and `lam` take
+  a JSON number, never `true` or `false`; every other flag takes a string;
 - `inputs` is an object holding any of those keys, usually the input
   files; a key at the top level overrides it;
 - `output_dir` is another name for `out`;
@@ -429,6 +430,7 @@ def _manifest_params(command: str, given: dict) -> dict:
             convert = _boolean
         else:
             convert = spec.get("type", _string)
+            convert = _MANIFEST_TYPES.get(convert, convert)
         try:
             params[key] = convert(value)
         except (TypeError, ValueError) as exc:
@@ -475,7 +477,28 @@ def _kinds(value) -> tuple[str, ...]:
 
 
 def _bins(value):
-    return value if value == "fd" else int(value)
+    """A bin count or "fd"; text is parsed, any other value must be an integer."""
+    if value == "fd":
+        return value
+    return int(value) if isinstance(value, str) else _integer(value)
+
+
+def _integer(value) -> int:
+    """A manifest value for an int flag: a JSON integer, not true or false."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    """A manifest value for a float flag: a JSON number, not true or false."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+#: manifest converters in place of the argparse `type` that parses flag text
+_MANIFEST_TYPES = {int: _integer, float: _number}
 
 
 def _boolean(value) -> bool:

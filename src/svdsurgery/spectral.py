@@ -64,13 +64,20 @@ def sign_canonicalize(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndar
     return u * signs, v * signs
 
 
-def svd(w: np.ndarray) -> SvdTriple:
-    """Thin SVD of `w`, canonicalized; deterministic for identical input."""
-    arr = ensure_matrix(w)
+def _lapack_svd(arr: np.ndarray, compute_uv: bool):
+    """`np.linalg.svd` of a checked matrix (thin when `compute_uv`).
+
+    Non-convergence is raised as NumericalError.
+    """
     try:
-        u, s, vt = np.linalg.svd(arr, full_matrices=False)
+        return np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
+
+
+def svd(w: np.ndarray) -> SvdTriple:
+    """Thin SVD of `w`, canonicalized; deterministic for identical input."""
+    u, s, vt = _lapack_svd(ensure_matrix(w), compute_uv=True)
     u, v = sign_canonicalize(u, vt.T)
     return SvdTriple(u=u, sigma=s, v=v)
 
@@ -94,7 +101,12 @@ def reconstruct(t: SvdTriple, keep=None) -> np.ndarray:
 
 @dataclass
 class DeltaSpectrum:
-    """Per-rank singular-value differences sigma(B) - sigma(A)."""
+    """Per-rank singular-value differences sigma(B) - sigma(A).
+
+    `sigma_a` and `sigma_b` come from a values-only decomposition (LAPACK
+    gesdd without vectors), so they may differ from `svd(w).sigma` in the
+    last bits.
+    """
 
     sigma_a: np.ndarray
     sigma_b: np.ndarray
@@ -109,21 +121,29 @@ class DeltaSpectrum:
         return float(np.mean(self.delta))
 
     @property
-    def rel_drift(self) -> float:
-        """max |delta| relative to the leading singular value of A."""
+    def rel_drift(self) -> float | None:
+        """max |delta| relative to the leading singular value of A.
+
+        None (undefined) when A is zero and B is not; 0.0 when both are zero.
+        """
         top = float(self.sigma_a[0])
         if top == 0.0:
-            return 0.0 if self.max_abs == 0.0 else float("inf")
+            return 0.0 if self.max_abs == 0.0 else None
         return self.max_abs / top
 
 
 def delta_sigma(a: np.ndarray, b: np.ndarray) -> DeltaSpectrum:
+    """Singular values of same-shape `a` and `b` and their per-rank difference.
+
+    The values come from a values-only decomposition, which skips the
+    singular vectors; they may differ from `svd(w).sigma` in the last bits.
+    """
     a = ensure_matrix(a, "A")
     b = ensure_matrix(b, "B")
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    sa = svd(a).sigma
-    sb = svd(b).sigma
+    sa = _lapack_svd(a, compute_uv=False)
+    sb = _lapack_svd(b, compute_uv=False)
     return DeltaSpectrum(sigma_a=sa, sigma_b=sb, delta=sb - sa)
 
 
@@ -182,13 +202,13 @@ def principal_angles(ua: np.ndarray, ub: np.ndarray, side: str = "left") -> Angl
         raise ValidationError(f"basis shape mismatch: {ua.shape} vs {ub.shape}")
 
     gram = ua.T @ ub
-    cosines = np.abs(np.clip(np.linalg.svd(gram, compute_uv=False), -1.0, 1.0))
+    cosines = np.abs(np.clip(_lapack_svd(gram, compute_uv=False), -1.0, 1.0))
     angles = np.arccos(cosines)
 
     small = cosines**2 >= 0.5
     if np.any(small):
         resid = ub - ua @ gram
-        sines = np.clip(np.linalg.svd(resid, compute_uv=False), -1.0, 1.0)[::-1]
+        sines = np.clip(_lapack_svd(resid, compute_uv=False), -1.0, 1.0)[::-1]
         angles[small] = np.arcsin(sines[small])
 
     return AngleSpectrum(cosines=cosines, angles_rad=angles, side=side, rank=ua.shape[1])
@@ -216,5 +236,5 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = ensure_matrix(b, "B")
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    u, _, vt = np.linalg.svd(a.T @ b, full_matrices=False)
+    u, _, vt = _lapack_svd(a.T @ b, compute_uv=True)
     return u @ vt

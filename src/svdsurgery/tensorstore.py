@@ -229,7 +229,7 @@ def encode_edit(
     """Check float64 `values` against tensor `name` of `base` and narrow them for writing.
 
     The values are rounded to the tensor's stored dtype, or to F32 when
-    `force_f32`.
+    `force_f32`; a value beyond that dtype's range is a NumericalError.
     """
     if name not in base.index:
         raise ValidationError(f"edit targets unknown tensor {name!r}")
@@ -240,9 +240,12 @@ def encode_edit(
     if not np.all(np.isfinite(arr)):
         raise NumericalError(f"edit for {name!r} contains non-finite values")
     dtype = "F32" if force_f32 else base.index[name].dtype
-    data = encode_values(arr, dtype)
+    with np.errstate(over="ignore"):  # an overflow is raised below, naming the tensor
+        data = encode_values(arr, dtype)
     stored = decode_values(data, dtype).reshape(shape)
     err = float(np.max(np.abs(stored - arr))) if arr.size else 0.0
+    if not np.isfinite(err):
+        raise NumericalError(f"edit for {name!r} overflows {dtype}")
     return EncodedEdit(dtype=dtype, data=data, rounding_error=err)
 
 

@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from svdsurgery import cli, surgery
-from svdsurgery.errors import WriteError
+from svdsurgery import cli, spectral, surgery
+from svdsurgery.errors import NumericalError, WriteError
+from svdsurgery.reports import write_json
 
 from conftest import pack_container, synth_decoder_arrays
 
@@ -120,6 +121,41 @@ def test_nan_in_checkpoint_exits_3_and_writes_nothing(name, pair, rollouts, tmp_
     out = tmp_path / "out"
     assert cli.main(commands(pair, rollouts)[name] + ["--out", str(out)]) == 3
     assert files(out) == {}
+
+
+def test_svd_non_convergence_exits_3_and_writes_nothing(pair, rollouts, tmp_path, monkeypatch):
+    def not_converging(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", not_converging)
+    out = tmp_path / "out"
+    assert cli.main(commands(pair, rollouts)["svd-diff"] + ["--out", str(out)]) == 3
+    assert list(out.iterdir()) == []
+
+
+def test_zero_matrix_reports_undefined_rel_drift_as_null(pair, rollouts, tmp_path):
+    arrays = synth_decoder_arrays(11)
+    arrays["model.layers.0.self_attn.q_proj.weight"][:] = 0.0
+    write_ckpt(pair[0], arrays)
+    out = tmp_path / "out"
+    assert cli.main(commands(pair, rollouts)["svd-diff"] + ["--out", str(out)]) == 0
+    report = json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)
+    drift = {m["key"]: m["rel_drift"] for m in report["matrices"]}
+    assert drift.pop("L000_q") is None
+    assert all(isinstance(value, float) for value in drift.values())
+    rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()]
+    assert rows[1][:2] == ["0", "q"] and rows[1][-1] == ""
+
+
+def test_non_finite_report_value_exits_3_and_writes_nothing(pair, rollouts, tmp_path, monkeypatch):
+    with pytest.raises(NumericalError):
+        write_json(tmp_path / "x.json", {"x": float("nan")})
+    assert not (tmp_path / "x.json").exists()
+
+    monkeypatch.setattr(spectral.DeltaSpectrum, "rel_drift", property(lambda s: float("inf")))
+    out = tmp_path / "out"
+    assert cli.main(commands(pair, rollouts)["svd-diff"] + ["--out", str(out)]) == 3
+    assert list(out.iterdir()) == []
 
 
 def test_shape_mismatch_exits_2_and_writes_nothing(pair, rollouts, tmp_path):
@@ -443,9 +479,18 @@ def test_non_numeric_threshold_exits_2_and_writes_nothing(value, rollouts, tmp_p
     ({"force_f32": "no"}, ["force_f32"]),
     ({"stamp": "no"}, ["stamp"]),
     ({"command": "svd-diff", "emit_plot_data": 1}, ["emit_plot_data"]),
+    ({"command": "adv-stats", "bootstrap": 20.9}, ["bootstrap"]),
+    ({"command": "adv-stats", "bootstrap": True}, ["bootstrap"]),
+    ({"command": "adv-stats", "seed": 1.5}, ["seed"]),
+    ({"command": "adv-stats", "mode_budget": "1"}, ["mode_budget"]),
+    ({"command": "adv-stats", "bins": 20.9}, ["bins"]),
+    ({"command": "adv-stats", "gamma": True}, ["gamma"]),
+    ({"command": "adv-stats", "lam": "0.9"}, ["lam"]),
+    ({"command": "penalty", "rank": 2.5}, ["rank"]),
+    ({"command": "penalty", "rank": False}, ["rank"]),
 ])
 def test_malformed_manifest_inputs_or_sweep_exits_2_and_names_the_key(
-    extra, named, pair, tmp_path, capsys
+    extra, named, pair, rollouts, tmp_path, capsys
 ):
     out = tmp_path / "out"
     host, donor = (str(p) for p in pair)
@@ -453,6 +498,10 @@ def test_malformed_manifest_inputs_or_sweep_exits_2_and_names_the_key(
         "restore": restore_manifest(pair, out, mode="values"),
         "svd-diff": {"command": "svd-diff", "inputs": {"a": host, "b": donor},
                      "output_dir": str(out)},
+        "adv-stats": {"command": "adv-stats", "input": str(rollouts), "bootstrap": 20,
+                      "output_dir": str(out)},
+        "penalty": {"command": "penalty", "ref": host, "current": donor, "rank": 3,
+                    "output_dir": str(out)},
     }[extra.get("command", "restore")]
     assert run_manifest(tmp_path, {**base, **extra}) == 2
     err = capsys.readouterr().err

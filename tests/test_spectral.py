@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles as scipy_subspace_angles
 
-from svdsurgery.errors import ValidationError
+from svdsurgery.errors import NumericalError, ValidationError
 from svdsurgery.spectral import (
     AngleSpectrum,
     delta_sigma,
@@ -131,6 +131,36 @@ def test_delta_sigma_scaling():
 def test_delta_sigma_shape_mismatch():
     with pytest.raises(ValidationError, match="shape"):
         delta_sigma(np.zeros((2, 3)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("shape", [(1376, 512), (512, 512), (128, 512)])
+def test_delta_sigma_uses_the_values_only_decomposition(shape):
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    spec = delta_sigma(a, b)
+    np.testing.assert_array_equal(spec.sigma_a, np.linalg.svd(a, compute_uv=False))
+    np.testing.assert_array_equal(spec.sigma_b, np.linalg.svd(b, compute_uv=False))
+    full = svd(a).sigma
+    assert np.max(np.abs(spec.sigma_a - full)) <= 1e-13 * full[0]
+
+
+def test_rel_drift_is_undefined_only_when_a_alone_is_zero():
+    zero, b = np.zeros((4, 3)), np.arange(12.0).reshape(4, 3)
+    assert delta_sigma(zero, b).rel_drift is None
+    assert delta_sigma(zero, zero).rel_drift == 0.0
+    assert delta_sigma(b, zero).rel_drift == 1.0
+
+
+def test_svd_non_convergence_is_a_numerical_error(monkeypatch):
+    def not_converging(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", not_converging)
+    w = np.eye(3)
+    for call in (lambda: svd(w), lambda: delta_sigma(w, w), lambda: matrix_angles(w, w),
+                 lambda: principal_angles(w, w), lambda: procrustes(w, w)):
+        with pytest.raises(NumericalError, match="did not converge"):
+            call()
 
 
 def test_value_shift_recovered_and_subspaces_fixed():

@@ -300,6 +300,11 @@ def test_write_rejects_bad_edits(write_container, tmp_path):
         encode_edit(ckpt, "w", np.zeros((3, 3)))
     with pytest.raises(NumericalError, match="non-finite"):
         encode_edit(ckpt, "w", np.full((2, 2), np.nan))
+    with pytest.raises(NumericalError, match="overflows F32"):
+        encode_edit(ckpt, "w", np.full((2, 2), 1e300))
+    half = open_checkpoint(write_container({"w": ("F16", np.zeros((2, 2)))}, name="half"))
+    with pytest.raises(NumericalError, match="overflows F16"):
+        encode_edit(half, "w", np.full((2, 2), 1e5))
 
 
 def test_write_rejects_an_encoded_edit_that_does_not_fit(write_container, tmp_path):
