@@ -476,11 +476,9 @@ def _kinds(value) -> tuple[str, ...]:
     return tuple(k for k in parts if k) or DEFAULT_SURGERY_KINDS
 
 
-def _bins(value):
-    """A bin count or "fd"; text is parsed, any other value must be an integer."""
-    if value == "fd":
-        return value
-    return int(value) if isinstance(value, str) else _integer(value)
+def _bins(text: str):
+    """A bin count or "fd", from flag text."""
+    return text if text == "fd" else int(text)
 
 
 def _integer(value) -> int:
@@ -494,11 +492,18 @@ def _number(value) -> float:
     """A manifest value for a float flag: a JSON number, not true or false."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("is too large for a float") from None
 
 
 #: manifest converters in place of the argparse `type` that parses flag text
-_MANIFEST_TYPES = {int: _integer, float: _number}
+_MANIFEST_TYPES = {
+    int: _integer,
+    float: _number,
+    _bins: lambda value: value if value == "fd" else _integer(value),
+}
 
 
 def _boolean(value) -> bool:

@@ -484,7 +484,9 @@ def test_non_numeric_threshold_exits_2_and_writes_nothing(value, rollouts, tmp_p
     ({"command": "adv-stats", "seed": 1.5}, ["seed"]),
     ({"command": "adv-stats", "mode_budget": "1"}, ["mode_budget"]),
     ({"command": "adv-stats", "bins": 20.9}, ["bins"]),
+    ({"command": "adv-stats", "bins": "20"}, ["bins"]),
     ({"command": "adv-stats", "gamma": True}, ["gamma"]),
+    ({"command": "adv-stats", "gamma": 10**400}, ["gamma"]),
     ({"command": "adv-stats", "lam": "0.9"}, ["lam"]),
     ({"command": "penalty", "rank": 2.5}, ["rank"]),
     ({"command": "penalty", "rank": False}, ["rank"]),
