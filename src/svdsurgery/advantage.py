@@ -194,13 +194,40 @@ def _entropy_and_kl(x: np.ndarray, mu: float, sd: float, cfg: EstimatorConfig):
 
 
 def _sample_moments(samples) -> tuple[np.ndarray, float, float]:
-    """The checked sample with its mean and sd (ddof=1); needs MIN_SAMPLES and spread."""
+    """The checked sample with its mean and sd (ddof=1); needs MIN_SAMPLES and spread.
+
+    Raises NumericalError when the variance of distinct samples underflows
+    to 0 or overflows float64.
+    """
     x = _as_samples(samples, MIN_SAMPLES)
-    mu = float(x.mean())
-    sd = float(x.std(ddof=1))
-    if sd == 0.0 or x.max() == x.min():
+    if x.max() == x.min():
         raise ValidationError("zero variance: all samples identical")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(x.mean())
+        sd = float(x.std(ddof=1))
+    if not 0.0 < sd < math.inf:
+        raise NumericalError(
+            f"sample variance {'underflows' if sd == 0.0 else 'overflows'} float64: "
+            f"the samples span [{x.min():.3g}, {x.max():.3g}]"
+        )
     return x, mu, sd
+
+
+def _skewness(centered: np.ndarray, sd: float) -> float:
+    """m3 / m2**1.5 of centered samples; NumericalError when a term leaves float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2 = float(np.mean(centered**2))
+        m3 = float(np.mean(centered**3))
+    try:
+        scale = m2**1.5
+    except OverflowError:
+        scale = math.inf
+    if not (0.0 < scale < math.inf and math.isfinite(m3)):
+        raise NumericalError(
+            "skewness needs the third moment and the second moment to the power 1.5, "
+            f"which {'underflows' if scale == 0.0 else 'overflows'} float64 at sd {sd:.3g}"
+        )
+    return m3 / scale
 
 
 def summarize(samples, cfg: EstimatorConfig = EstimatorConfig()) -> AdvantageSummary:
@@ -211,10 +238,7 @@ def summarize(samples, cfg: EstimatorConfig = EstimatorConfig()) -> AdvantageSum
     there are more.
     """
     x, mu, sd = _sample_moments(samples)
-    centered = x - mu
-    m2 = float(np.mean(centered**2))
-    m3 = float(np.mean(centered**3))
-    skewness = m3 / m2**1.5
+    skewness = _skewness(x - mu, sd)
 
     entropy, kl, edges, _, _ = _entropy_and_kl(x, mu, sd, cfg)
 

@@ -10,6 +10,13 @@ the files into place only after it succeeds, so a failed command leaves no
 output files. Reports are byte-deterministic for a fixed manifest, inputs,
 and seed; pass --stamp to embed a timestamp.
 
+Every command runs its BLAS and LAPACK calls on one thread (see
+`_one_blas_thread`). A second OpenBLAS thread changes the summation order
+inside the decompositions and products, and with it the last bits of the
+angles and restore reports; on one thread the report bytes do not depend on
+the number of cores or on OPENBLAS_NUM_THREADS. It also saves CPU time: the
+decompositions here run no faster on two threads.
+
 A manifest is a JSON object naming a `command` (svd-diff, angles, restore,
 adv-stats or penalty) plus that command's parameters:
 
@@ -37,7 +44,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import datetime
+import functools
 import json
 import os
 import shutil
@@ -608,11 +617,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS that NumPy loaded, or None.
+
+    The library is the one NumPy's wheels bundle in `numpy.libs`; its
+    getter and setter carry the build's symbol prefix and suffix. None is
+    the only result for a NumPy built against another BLAS or an OpenBLAS
+    outside `numpy.libs`, and then the thread count is left alone.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib_path in sorted(libs.glob("libscipy_openblas*")) + sorted(libs.glob("libopenblas*")):
+        lib = ctypes.CDLL(str(lib_path))
+        for getter in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            get = getattr(lib, getter, None)
+            put = getattr(lib, getter.replace("_get_", "_set_"), None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore the caller's count."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def main(argv=None) -> int:
     params = vars(_build_parser().parse_args(argv))
     runner = params.pop("runner")
     try:
-        return runner(params)
+        with _one_blas_thread():
+            return runner(params)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -15,6 +15,7 @@ from svdsurgery.advantage import (
     ThresholdConfig,
     TrajectoryTrace,
     gae,
+    histogram_table,
     ppo_objective,
     read_rollout_log,
     silverman_test,
@@ -185,6 +186,24 @@ def test_summarize_rejects_degenerate_input():
         summarize(np.zeros(10), _cfg())
     with pytest.raises(ValidationError, match="zero variance"):
         summarize(np.full(500, 3.3), _cfg())
+
+
+@pytest.mark.parametrize("scale, cause", [
+    (1e-130, "power 1.5, which underflows"),  # m2**1.5 underflows while sd > 0
+    (1e150, "power 1.5, which overflows"),
+    (1e200, "variance overflows"),
+    (1e-300, "variance underflows"),  # distinct samples, not identical ones
+])
+def test_summarize_names_an_out_of_range_scale(scale, cause):
+    x = np.random.default_rng(0).standard_normal(300) * scale
+    with pytest.raises(NumericalError, match=cause):
+        summarize(x, _cfg())
+
+
+def test_histogram_table_names_an_overflowing_variance():
+    x = np.random.default_rng(0).standard_normal(300) * 1e200
+    with pytest.raises(NumericalError, match="variance overflows"):
+        histogram_table(x, _cfg())
 
 
 def test_summarize_affine_moments():

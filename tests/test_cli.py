@@ -1,8 +1,12 @@
 """Command-line behaviour: exit codes, report layouts, determinism, manifests."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +273,17 @@ def test_adv_stats_layout(rollouts, pair, tmp_path):
         "command", "toolkit_version", "input", "source", "n", "mu", "sd", "skewness",
         "entropy_nats", "kl_vs_matched_normal", "silverman_p", "estimator_config", "verdict",
         "checks", "thresholds", "threshold_note"}
+
+
+@pytest.mark.parametrize("scale, cause", [(1e-130, "underflows"), (1e200, "overflows")])
+def test_adv_stats_out_of_range_scale_exits_3_and_names_it(scale, cause, rollouts, tmp_path,
+                                                           capsys):
+    samples = [json.loads(line)["advantage"] * scale for line in rollouts.read_text().splitlines()]
+    rollouts.write_text("".join(json.dumps({"advantage": x}) + "\n" for x in samples))
+    out = tmp_path / "out"
+    assert cli.main(["adv-stats", "--input", str(rollouts), "--out", str(out)]) == 3
+    assert cause in capsys.readouterr().err
+    assert files(out) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -626,3 +641,66 @@ def test_sweep_holds_edits_narrowed_not_in_float64(tmp_path):
     reports = [json.loads(p.read_text()) for p in (tmp_path / "out").glob("*.report.json")]
     assert sum(rep["edited_matrices"] for rep in reports) == 3 * layers * 6
     assert peak < edited_f64_bytes
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="OpenBLAS caps its threads at the CPU count, so one CPU runs both on one thread",
+)
+def test_report_bytes_do_not_depend_on_openblas_threads(synth_pair, tmp_path):
+    host, donor = synth_pair(layers=1, dim=512, kv_dim=128)
+    profile = tmp_path / "q-only.json"
+    profile.write_text(json.dumps({
+        "name": "q-only",
+        "patterns": [{"template": "model.layers.{layer}.self_attn.q_proj.weight", "kind": "q"}],
+    }))
+    argvs = [
+        ["restore", "--mode", "vectors", "--host", str(host), "--donor", str(donor),
+         "--kinds", "q", "--ranks", "top:16", "--out", "restore"],
+        ["angles", "--a", str(host), "--b", str(donor), "--profile", str(profile),
+         "--emit-plot-data", "--out", "angles"],
+    ]
+    src = Path(cli.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads-{threads}"
+        cwd.mkdir()
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        for argv in argvs:
+            subprocess.run([sys.executable, "-m", "svdsurgery.cli", *argv],
+                           cwd=cwd, env=env, check=True, capture_output=True)
+        outputs.append(files(cwd))
+    assert len(outputs[0]) == 8
+    assert outputs[0] == outputs[1]
+
+
+def test_main_leaves_the_callers_blas_thread_count(pair, rollouts, tmp_path, monkeypatch):
+    calls = cli._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("NumPy does not bundle OpenBLAS here, so main leaves threads alone")
+    get, put = calls
+    found = get()
+    seen = []
+    real = cli._COMMANDS["svd-diff"][0]
+
+    def recording(params):
+        seen.append(get())
+        return real(params)
+
+    monkeypatch.setitem(cli._COMMANDS, "svd-diff", (recording, *cli._COMMANDS["svd-diff"][1:]))
+    put(2)
+    try:
+        before = get()
+        assert cli.main(commands(pair, rollouts)["svd-diff"] + ["--out", str(tmp_path / "a")]) == 0
+        assert get() == before
+        bad = commands(pair, rollouts)["restore-values"] + ["--ranks", "top:-1"]
+        assert cli.main(bad + ["--out", str(tmp_path / "b")]) == 2
+        assert get() == before
+    finally:
+        put(found)
+    assert seen == [1]
