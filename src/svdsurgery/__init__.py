@@ -39,7 +39,6 @@ from .spectral import (
 from .surgery import (
     LayerSelector,
     RankSelector,
-    SelectionSpec,
     SurgeryPlan,
     SurgeryReport,
     mixed_matrix,
@@ -70,7 +69,6 @@ __all__ = [
     "NumericalError",
     "PenaltyRef",
     "RankSelector",
-    "SelectionSpec",
     "SurgeryPlan",
     "SurgeryReport",
     "SvdTriple",

@@ -456,6 +456,13 @@ def verdict(s: AdvantageSummary, thresholds: ThresholdConfig = ThresholdConfig()
 # rollout-log ingestion
 
 
+def _number(value) -> float:
+    """A rollout number: a JSON number, not a string or true or false."""
+    if type(value) not in (int, float):
+        raise ValueError(f"must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def read_rollout_log(path: str | Path, params: GaeParams | None = None):
     """Load advantage samples from a JSON-lines rollout log.
 
@@ -487,12 +494,13 @@ def read_rollout_log(path: str | Path, params: GaeParams | None = None):
                 )
             try:
                 if "advantage" in rec:
-                    advantages.append(float(rec["advantage"]))
+                    advantages.append(_number(rec["advantage"]))
                 elif "trace_id" in rec and "t" in rec and "value" in rec:
                     t, reward = rec["t"], rec.get("reward")
                     if not (type(t) is int or type(t) is float and t.is_integer()):
                         raise ValueError(f"step index t must be an integer, got {t!r}")
-                    row = (int(t), None if reward is None else float(reward), float(rec["value"]))
+                    reward = None if reward is None else _number(reward)
+                    row = (int(t), reward, _number(rec["value"]))
                     steps.setdefault(str(rec["trace_id"]), []).append(row)
                 else:
                     raise ValidationError(

@@ -32,12 +32,13 @@ adv-stats or penalty) plus that command's parameters:
 - `output_dir` is another name for `out`;
 - `sweep` (restore only) is an object holding `layers` and/or `ranks`,
   each a non-empty list of selector strings; each list replaces the single
-  selector, and every (layers, ranks) pair is one run with its own
-  outputs, all planned before the first is written. The sweep runs
-  matrix by matrix, so each target is decomposed once per sweep, not once
-  per grid point.
+  selector, and every (layers, ranks) pair is one grid point with its own
+  outputs. A restore is one plan over all its grid points, planned before
+  the first output is written. It runs matrix by matrix, so each target is
+  decomposed once per restore, not once per grid point.
 
-Any other key is an error. `kinds` may be a list or a comma-separated string.
+Any other key is an error. `kinds` may be a list of strings or a
+comma-separated string.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ from .surgery import (
     LayerSelector,
     MatrixRecord,
     RankSelector,
-    SelectionSpec,
     SurgeryPlan,
     run_surgery,
 )
@@ -240,25 +240,24 @@ def run_restore(params: dict) -> int:
     donor, host = open_checkpoint(params["donor"]), open_checkpoint(params["host"])
     profile = load_profile(params["profile"])
     sweep = params.get("sweep") or {}
-    stems, plans = [], []
-    for layers in sweep.get("layers") or [params["layers"]]:
-        for ranks in sweep.get("ranks") or [params["ranks"]]:
-            selection = SelectionSpec(
-                layers=LayerSelector.parse(layers),
-                ranks=RankSelector.parse(ranks),
-                kinds=params["kinds"],
-            )
-            plan = SurgeryPlan(
-                mode=params["mode"], donor=donor, host=host, selection=selection,
-                profile=profile, align=params["align"],
-            )
-            stem = f"{plan.mode}__layers-{_selector_slug(layers)}__ranks-{_selector_slug(ranks)}"
-            stems.append(stem)
-            plans.append(plan)
+    points = [
+        (layers, ranks)
+        for layers in sweep.get("layers") or [params["layers"]]
+        for ranks in sweep.get("ranks") or [params["ranks"]]
+    ]
+    grid = [(LayerSelector.parse(layers), RankSelector.parse(ranks)) for layers, ranks in points]
+    plan = SurgeryPlan(
+        mode=params["mode"], donor=donor, host=host, profile=profile, grid=grid,
+        kinds=params["kinds"], align=params["align"],
+    )
+    stems = [
+        f"{plan.mode}__layers-{_selector_slug(layers)}__ranks-{_selector_slug(ranks)}"
+        for layers, ranks in points
+    ]
 
     with _staged_out(params["out"]) as stage:
         outs = [stage / f"{stem}.safetensors" for stem in stems]
-        reports = run_surgery(plans, outs, force_f32=params["force_f32"])
+        reports = run_surgery(plan, outs, force_f32=params["force_f32"])
         for stem, report in zip(stems, reports):
             records = _write_table(
                 stage / f"{stem}.report.csv",
@@ -275,11 +274,9 @@ def run_restore(params: dict) -> int:
                     "records": records,
                     "copied_tensors": report.copied_tensors,
                     "write": {
-                        "tensors_written": report.write_report.tensors_written,
-                        "tensors_edited": report.write_report.tensors_edited,
-                        "max_rounding_error": max(
-                            report.write_report.rounding_errors.values(), default=0.0
-                        ),
+                        "tensors_written": len(host.index),
+                        "tensors_edited": len(report.rounding_errors),
+                        "max_rounding_error": max(report.rounding_errors.values(), default=0.0),
                     },
                 }
             )
@@ -480,8 +477,10 @@ def run_manifest(params: dict) -> int:
 
 
 def _kinds(value) -> tuple[str, ...]:
-    """Matrix kinds from a comma-separated string or a list; none means the default set."""
-    parts = value.split(",") if isinstance(value, str) else value or ()
+    """Matrix kinds from a comma-separated string or a list of strings; none means the defaults."""
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, (list, tuple)) or not all(isinstance(k, str) for k in parts):
+        raise ValueError(f"must be a string or a list of strings, got {value!r}")
     return tuple(k for k in parts if k) or DEFAULT_SURGERY_KINDS
 
 

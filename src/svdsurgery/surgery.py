@@ -1,10 +1,13 @@
 """Splice singular values or vectors between two checkpoints.
 
 A surgery keeps one checkpoint as the host, takes the selected spectral part
-from the donor, and writes the edited model. Pairing of singular directions
-is by rank index after canonical sorting; mixed column sets are used as-is,
-with no re-orthogonalization, so the report flags matrices whose selection
-boundary falls inside a near-degenerate gap.
+from the donor, and writes the edited model. One `SurgeryPlan` describes one
+restore run: a host, a donor, a mode and the matrix kinds, plus a grid of
+(layers, ranks) selections, each of which writes its own checkpoint.
+Pairing of singular directions is by rank index after canonical sorting;
+mixed column sets are used as-is, with no re-orthogonalization, so the
+report flags matrices whose selection boundary falls inside a
+near-degenerate gap.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .tensorstore import (
     EncodedEdit,
     MatrixKey,
     NamingProfile,
-    WriteReport,
     encode_edit,
     load_matrix,
     pair_matrices,
@@ -141,23 +143,23 @@ class RankSelector:
         return f"{self.rule}:{self.count}"
 
 
-@dataclass(frozen=True)
-class SelectionSpec:
-    layers: LayerSelector
-    ranks: RankSelector
-    kinds: tuple[str, ...] = DEFAULT_SURGERY_KINDS
+#: (key, host tensor, donor tensor) of one matrix to edit
+Target = tuple[MatrixKey, str, str]
 
 
 @dataclass
 class SurgeryPlan:
+    """One restore run: grid point i selects `grid[i]` and writes its own checkpoint."""
+
     mode: str  # "values" | "vectors"
     donor: Checkpoint
     host: Checkpoint
-    selection: SelectionSpec
     profile: NamingProfile
+    grid: list[tuple[LayerSelector, RankSelector]]
+    kinds: tuple[str, ...] = DEFAULT_SURGERY_KINDS
     align: str = "none"  # "none" | "procrustes" (vectors mode, experimental)
-    #: (key, host tensor, donor tensor) triples to edit, from `plan_selection`
-    targets: list[tuple[MatrixKey, str, str]] = field(init=False)
+    #: per grid point, the targets to edit, from `plan_selection`
+    targets: list[list[Target]] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -166,15 +168,16 @@ class SurgeryPlan:
             raise ValidationError(f"align must be 'none' or 'procrustes', got {self.align!r}")
         self.targets = plan_selection(self)
 
-    def echo(self) -> dict:
+    def echo(self, point: int) -> dict:
+        layers, ranks = self.grid[point]
         return {
             "mode": self.mode,
             "donor": str(self.donor.path),
             "host": str(self.host.path),
             "profile": self.profile.name,
-            "layers": str(self.selection.layers),
-            "ranks": str(self.selection.ranks),
-            "kinds": list(self.selection.kinds),
+            "layers": str(layers),
+            "ranks": str(ranks),
+            "kinds": list(self.kinds),
             "align": self.align,
         }
 
@@ -257,62 +260,68 @@ class MatrixRecord:
 @dataclass
 class SurgeryReport:
     plan: dict
-    records: list[MatrixRecord] = field(default_factory=list)
-    copied_tensors: list[str] = field(default_factory=list)
-    write_report: WriteReport | None = None
+    records: list[MatrixRecord]
+    copied_tensors: list[str]
+    #: per edited tensor: max |stored - requested| after dtype rounding
+    rounding_errors: dict[str, float]
 
     @property
     def edited_count(self) -> int:
         return sum(1 for r in self.records if r.status == "edited")
 
 
-def plan_selection(plan: SurgeryPlan) -> list[tuple[MatrixKey, str, str]]:
-    """Resolve and validate the (key, host tensor, donor tensor) triples to edit.
+def plan_selection(plan: SurgeryPlan) -> list[list[Target]]:
+    """Resolve and validate the targets to edit at each grid point.
 
-    The selection filters the host's matrices by kind and layer; a selected
-    key that the donor lacks is an error. `SurgeryPlan` runs this once, when
-    it is built, and keeps the result as `targets`.
+    A grid point filters the host's matrices by kind and layer; a key that
+    some grid point selects and the donor lacks is an error. Keys are
+    resolved once for the whole grid. `SurgeryPlan` runs this once, when it
+    is built, and keeps the result as `targets`.
     """
-    kinds = set(plan.selection.kinds)
-    host_layers = {
-        key.layer for key, _ in resolve_keys(plan.host, plan.profile).matched if key.kind in kinds
-    }
-    layers = plan.selection.layers.resolve(sorted(host_layers))
-    selected = pair_matrices(
-        plan.host, plan.donor, plan.profile, lambda key: key.kind in kinds and key.layer in layers
+    kinds = set(plan.kinds)
+    host_layers = sorted(
+        {key.layer for key, _ in resolve_keys(plan.host, plan.profile) if key.kind in kinds}
     )
-    for key, _, donor_name in selected:
-        if donor_name is None:
-            raise ValidationError(f"donor checkpoint has no tensor for {key.label}")
-    return selected
+    layer_sets = [layers.resolve(host_layers) for layers, _ in plan.grid]
+    selected = pair_matrices(
+        plan.host, plan.donor, plan.profile,
+        lambda key: key.kind in kinds and any(key.layer in layers for layers in layer_sets),
+    )
+    targets = []
+    for layers in layer_sets:
+        point = [target for target in selected if target[0].layer in layers]
+        for key, _, donor_name in point:
+            if donor_name is None:
+                raise ValidationError(f"donor checkpoint has no tensor for {key.label}")
+        targets.append(point)
+    return targets
 
 
 def _splice_target(
-    target: tuple[MatrixKey, str, str], plans: list[SurgeryPlan], force_f32: bool
+    plan: SurgeryPlan, target: Target, rank_selectors: list[RankSelector], force_f32: bool
 ) -> list[tuple[MatrixRecord, EncodedEdit | None]]:
-    """The record, and the encoded edit if any, of one target for each of `plans`.
+    """The record, and the encoded edit if any, of one target for each rank selector.
 
-    Host and donor are decomposed once, and only when some plan selects
+    Host and donor are decomposed once, and only when some selector picks
     ranks of this matrix. Each mixed matrix is narrowed to its stored dtype
-    as soon as its record is taken, so no float64 result outlives its plan.
+    as soon as its record is taken, so no float64 result outlives its grid
+    point.
     """
     key, host_name, donor_name = target
-    host, donor = plans[0].host, plans[0].donor
-    w_host = load_matrix(host, host_name)
-    rank_sets = [plan.selection.ranks.resolve(min(w_host.shape)) for plan in plans]
+    w_host = load_matrix(plan.host, host_name)
+    rank_sets = [ranks.resolve(min(w_host.shape)) for ranks in rank_selectors]
     if any(ranks.size for ranks in rank_sets):
-        w_donor = load_matrix(donor, donor_name)
+        w_donor = load_matrix(plan.donor, donor_name)
         host_t = svd(w_host)
         donor_t = svd(w_donor)
+    align = plan.align == "procrustes" and plan.mode == "vectors"
     results = []
-    for plan, ranks in zip(plans, rank_sets):
+    for ranks in rank_sets:
         if ranks.size == 0:
             results.append((MatrixRecord(key=key, tensor=host_name, status="copied"), None))
             continue
-        plan_donor_t = donor_t
-        if plan.align == "procrustes" and plan.mode == "vectors":
-            plan_donor_t = _aligned_donor(host_t, donor_t, ranks)
-        w_out = mixed_matrix(host_t, plan_donor_t, plan.mode, ranks)
+        point_donor_t = _aligned_donor(host_t, donor_t, ranks) if align else donor_t
+        w_out = mixed_matrix(host_t, point_donor_t, plan.mode, ranks)
         record = MatrixRecord(
             key=key,
             tensor=host_name,
@@ -325,49 +334,49 @@ def _splice_target(
             max_entry_change=float(np.max(np.abs(w_out - w_host))),
             degenerate_boundary=(
                 _boundary_degenerate(host_t.sigma, ranks)
-                or _boundary_degenerate(plan_donor_t.sigma, ranks)
+                or _boundary_degenerate(point_donor_t.sigma, ranks)
             ),
         )
-        results.append((record, encode_edit(host, host_name, w_out, force_f32)))
-        del w_out, plan_donor_t  # free before the next plan mixes its own
+        results.append((record, encode_edit(plan.host, host_name, w_out, force_f32)))
+        del w_out, point_donor_t  # free before the next grid point mixes its own
     return results
 
 
 def run_surgery(
-    plans: list[SurgeryPlan], outs: list[str | Path], force_f32: bool = False
+    plan: SurgeryPlan, outs: list[str | Path], force_f32: bool = False
 ) -> list[SurgeryReport]:
-    """Execute plans that share a host and donor; plan i writes its checkpoint to `outs[i]`.
+    """Execute a plan; grid point i writes its checkpoint to `outs[i]`.
 
-    The run is matrix-major: every matrix that any plan targets is loaded
-    and decomposed once, in key order, and mixed for each plan that selects
-    it (see `_splice_target`). Every matrix in a plan's `targets` is
-    replaced by the mixed_matrix output; all other tensors are copied
-    byte-exact. A selection that resolves to no ranks leaves the tensor
-    untouched, and a matrix no plan selects ranks of gets no SVD.
+    The run is matrix-major: every matrix that any grid point targets is
+    loaded and decomposed once, in key order, and mixed for each grid point
+    that selects it (see `_splice_target`). Every matrix in a grid point's
+    targets is replaced by the mixed_matrix output; all other tensors are
+    copied byte-exact. A selection that resolves to no ranks leaves the
+    tensor untouched, and a matrix no grid point selects ranks of gets no
+    SVD.
     """
-    if len(plans) != len(outs):
-        raise ValidationError(f"{len(plans)} surgery plans but {len(outs)} output paths")
-    if len({(str(plan.host.path), str(plan.donor.path)) for plan in plans}) > 1:
-        raise ValidationError("surgery plans run together must share one host and one donor")
+    if len(plan.grid) != len(outs):
+        raise ValidationError(f"{len(plan.grid)} grid points but {len(outs)} output paths")
 
-    chosen = [set(plan.targets) for plan in plans]
-    records: list[dict] = [{} for _ in plans]
-    edits: list[dict[str, EncodedEdit]] = [{} for _ in plans]
-    for target in sorted(set().union(*chosen), key=lambda t: (t[0].sort_key(), t[1], t[2])):
+    # every grid point's targets are in key order, so records append in that order
+    chosen = [set(targets) for targets in plan.targets]
+    records: list[list[MatrixRecord]] = [[] for _ in chosen]
+    edits: list[dict[str, EncodedEdit]] = [{} for _ in chosen]
+    for target in sorted(set().union(*chosen), key=lambda t: t[0].sort_key()):
         users = [i for i, targets in enumerate(chosen) if target in targets]
-        spliced = _splice_target(target, [plans[i] for i in users], force_f32)
+        spliced = _splice_target(plan, target, [plan.grid[i][1] for i in users], force_f32)
         for i, (record, edit) in zip(users, spliced):
-            records[i][target] = record
+            records[i].append(record)
             if edit is not None:
                 edits[i][target[1]] = edit
 
     reports = []
-    for plan, plan_records, plan_edits, out in zip(plans, records, edits, outs):
-        report = SurgeryReport(
-            plan=plan.echo(),
-            records=[plan_records[target] for target in plan.targets],
-            copied_tensors=sorted(set(plan.host.index) - set(plan_edits)),
-        )
-        report.write_report = write_checkpoint(plan.host, plan_edits, out)
-        reports.append(report)
+    for point, (point_records, point_edits, out) in enumerate(zip(records, edits, outs)):
+        write_checkpoint(plan.host, point_edits, out)
+        reports.append(SurgeryReport(
+            plan=plan.echo(point),
+            records=point_records,
+            copied_tensors=sorted(set(plan.host.index) - set(point_edits)),
+            rounding_errors={name: edit.rounding_error for name, edit in point_edits.items()},
+        ))
     return reports

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import fnmatch
 import json
+import os
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -122,10 +123,12 @@ def _parse_header(header: dict, data_size: int) -> tuple[dict[str, TensorInfo], 
             raise ValidationError(f"malformed header entry for {name!r}")
         try:
             dtype = entry["dtype"]
-            shape = tuple(int(d) for d in entry["shape"])
-            start, end = (int(x) for x in entry["data_offsets"])
+            shape = tuple(entry["shape"])
+            start, end = entry["data_offsets"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed header entry for {name!r}: {exc}") from exc
+        if not all(type(x) is int for x in (*shape, start, end)):
+            raise ValidationError(f"tensor {name!r}: shape and data_offsets must be JSON integers")
         if dtype not in DTYPE_SIZES:
             raise ValidationError(f"unsupported dtype {dtype!r} for tensor {name!r}")
         if not 1 <= len(shape) <= 2 or any(d < 0 for d in shape):
@@ -205,14 +208,6 @@ def load_matrix(ckpt: Checkpoint, name: str) -> np.ndarray:
 # container writing
 
 
-@dataclass
-class WriteReport:
-    tensors_written: int
-    tensors_edited: int
-    #: per edited tensor: max |stored - requested| after dtype rounding
-    rounding_errors: dict[str, float] = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class EncodedEdit:
     """A tensor's replacement values, already narrowed to the dtype they are stored in."""
@@ -249,17 +244,18 @@ def encode_edit(
     return EncodedEdit(dtype=dtype, data=data, rounding_error=err)
 
 
-def write_checkpoint(
-    base: Checkpoint, edits: dict[str, EncodedEdit], out: str | Path
-) -> WriteReport:
+def write_checkpoint(base: Checkpoint, edits: dict[str, EncodedEdit], out: str | Path) -> None:
     """Write `base` with the encoded `edits` substituted, all other tensors copied byte-exact.
 
     Payload keeps the base file's byte order, so an edit-free write
     reproduces the payload bytes exactly; the header is re-emitted with
     names sorted. Unedited tensors are copied one at a time from one open
     handle on the base file, so the writer holds no more than the encoded
-    edits and the largest unedited tensor's stored bytes.
+    edits and the largest unedited tensor's stored bytes. `out` may not be
+    the base file itself, which the copy still reads from.
     """
+    if os.path.exists(out) and os.path.samefile(out, base.path):
+        raise ValidationError(f"cannot write checkpoint over its own base {base.path}")
     for name, edit in edits.items():
         info = base.index.get(name)
         if info is None or len(edit.data) != int(np.prod(info.shape)) * DTYPE_SIZES[edit.dtype]:
@@ -267,11 +263,6 @@ def write_checkpoint(
 
     # preserve the base payload layout order
     layout = sorted(base.index, key=lambda n: (base.index[n].offsets[0], n))
-    report = WriteReport(
-        tensors_written=len(layout),
-        tensors_edited=len(edits),
-        rounding_errors={name: edits[name].rounding_error for name in layout if name in edits},
-    )
 
     entries: dict[str, dict] = {}
     cursor = 0
@@ -309,7 +300,6 @@ def write_checkpoint(
                     fh.write(src.read(end - start))
         except OSError as exc:
             raise WriteError(f"cannot write checkpoint to {out}: {exc}") from exc
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -427,38 +417,24 @@ def load_profile(spec: str | Path) -> NamingProfile:
         raise ValidationError(f"malformed profile {path}: {exc}") from exc
 
 
-@dataclass
-class KeyResolution:
-    matched: list[tuple[MatrixKey, str]]
-    unmatched: list[str]
+def resolve_keys(ckpt: Checkpoint, profile: NamingProfile) -> list[tuple[MatrixKey, str]]:
+    """Map tensor names to matrix keys, as (key, name) pairs sorted by (layer, kind).
 
-    def as_dict(self) -> dict[MatrixKey, str]:
-        return dict(self.matched)
-
-
-def resolve_keys(ckpt: Checkpoint, profile: NamingProfile) -> KeyResolution:
-    """Map tensor names to matrix keys.
-
-    Output order is deterministic, sorted by (layer, kind); excluded and
-    unrecognized names are returned under `unmatched`, never dropped.
+    Excluded and unrecognized names are left out.
     """
     matched: dict[MatrixKey, str] = {}
-    unmatched: list[str] = []
     for name in ckpt.index:
         if profile.is_excluded(name):
-            unmatched.append(name)
             continue
         key = profile.match(name)
         if key is None:
-            unmatched.append(name)
             continue
         if key in matched:
             raise ValidationError(
                 f"tensors {matched[key]!r} and {name!r} both resolve to {key.label}"
             )
         matched[key] = name
-    ordered = sorted(matched.items(), key=lambda kv: kv[0].sort_key())
-    return KeyResolution(matched=ordered, unmatched=sorted(unmatched))
+    return sorted(matched.items(), key=lambda kv: kv[0].sort_key())
 
 
 def pair_matrices(
@@ -470,9 +446,9 @@ def pair_matrices(
     where `b` resolves no tensor for the key. Paired tensors must have the
     same shape.
     """
-    names_b = resolve_keys(b, profile).as_dict()
+    names_b = dict(resolve_keys(b, profile))
     pairs = []
-    for key, name_a in resolve_keys(a, profile).matched:
+    for key, name_a in resolve_keys(a, profile):
         shape = a.index[name_a].shape
         if not keep(key) or len(shape) != 2:
             continue

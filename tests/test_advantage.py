@@ -473,6 +473,9 @@ STEP_ROW = '{"trace_id": 1, "t": 0, "reward": 1.0, "value": 0.5}'
     (STEP_ROW, '{"trace_id": 1, "t": "x", "reward": 1, "value": 1}'),
     (STEP_ROW, '{"trace_id": 1, "t": 1, "reward": "x", "value": 1}'),
     (STEP_ROW, '{"trace_id": 1, "t": 1.7, "reward": 1, "value": 1}'),
+    (SAMPLE_ROW, '{"advantage": "1.5"}'),
+    (SAMPLE_ROW, '{"advantage": true}'),
+    (STEP_ROW, '{"trace_id": 1, "t": 1, "reward": 1.0, "value": "0.5"}'),
 ])
 def test_read_rejects_malformed_fields_with_their_line(first, bad, tmp_path):
     path = tmp_path / "bad.jsonl"

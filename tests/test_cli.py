@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svdsurgery import cli, spectral, surgery
+from svdsurgery import cli, spectral, surgery, tensorstore
 from svdsurgery.errors import NumericalError, WriteError
 from svdsurgery.reports import write_json
 
@@ -386,19 +386,27 @@ def test_manifest_omitting_optional_keys_gets_flag_defaults(pair, rollouts, tmp_
 
 
 def test_restore_sweep_plans_each_grid_point_once(pair, tmp_path, monkeypatch):
-    calls = []
-    original = surgery.plan_selection
+    calls = {"plan_selection": 0, "resolve_keys": 0}
 
-    def counted(plan):
-        calls.append(plan)
-        return original(plan)
+    def counted(module, name):
+        original = getattr(module, name)
 
-    for module in (cli, surgery):
-        monkeypatch.setattr(module, "plan_selection", counted, raising=False)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name, owner, users in [("plan_selection", surgery, (cli, surgery)),
+                               ("resolve_keys", tensorstore, (surgery, tensorstore))]:
+        wrapper = counted(owner, name)
+        for module in users:
+            monkeypatch.setattr(module, name, wrapper, raising=False)
     sweep = {"layers": ["first:1", "all"], "ranks": ["top:2", "bottom:1"]}
     manifest = restore_manifest(pair, tmp_path / "out", mode="values", sweep=sweep)
     assert run_manifest(tmp_path, manifest) == 0
-    assert len(calls) == 4
+    # one plan for the whole sweep, so key resolution does not grow with the grid
+    assert calls == {"plan_selection": 1, "resolve_keys": 3}
 
 
 def test_kl_direction_flag_and_manifest_key_exit_2(rollouts, tmp_path):
@@ -434,6 +442,15 @@ def test_manifest_string_kinds_is_one_kind_list(pair, tmp_path):
     report = json.loads((out / "values__layers-all__ranks-all.report.json").read_text())
     assert report["plan"]["kinds"] == ["mlp_gate"]
     assert report["edited_matrices"] == 2
+
+
+@pytest.mark.parametrize("kinds", [[1, 2], ["q", None], {"q": "k"}, False, None])
+def test_manifest_kinds_that_are_not_strings_exit_2_and_name_the_key(kinds, pair, tmp_path,
+                                                                      capsys):
+    out = tmp_path / "out"
+    assert run_manifest(tmp_path, restore_manifest(pair, out, mode="values", kinds=kinds)) == 2
+    assert "'kinds'" in capsys.readouterr().err
+    assert files(out) == {}
 
 
 def test_failed_sweep_writes_nothing(pair, tmp_path, capsys):

@@ -8,7 +8,6 @@ from svdsurgery.spectral import matrix_angles, principal_angles, reconstruct, sv
 from svdsurgery.surgery import (
     LayerSelector,
     RankSelector,
-    SelectionSpec,
     SurgeryPlan,
     _aligned_donor,
     mixed_matrix,
@@ -162,15 +161,17 @@ def test_aligned_donor_recovers_host_basis():
 # full-checkpoint runs
 
 
-def _make_plan(host_path, donor_path, mode="values", layers="all", ranks="all", align="none"):
+def _make_plan(host_path, donor_path, mode="values", layers="all", ranks="all", align="none",
+               grid=None):
     return SurgeryPlan(
         mode=mode,
         donor=open_checkpoint(donor_path),
         host=open_checkpoint(host_path),
-        selection=SelectionSpec(
-            layers=LayerSelector.parse(layers), ranks=RankSelector.parse(ranks)
-        ),
         profile=load_profile("llama-style"),
+        grid=[
+            (LayerSelector.parse(point_layers), RankSelector.parse(point_ranks))
+            for point_layers, point_ranks in grid or [(layers, ranks)]
+        ],
         align=align,
     )
 
@@ -179,7 +180,7 @@ def test_run_surgery_self_splice_is_identity(synth_pair, tmp_path):
     host_path, _ = synth_pair(layers=1)
     plan = _make_plan(host_path, host_path, mode="values")
     out = tmp_path / "self.safetensors"
-    [report] = run_surgery([plan], [out])
+    [report] = run_surgery(plan, [out])
     assert report.edited_count == 6  # q,k,v + three mlp kinds; o stays default-excluded
     host = open_checkpoint(host_path)
     edited = open_checkpoint(out)
@@ -192,16 +193,16 @@ def test_run_surgery_self_splice_is_identity(synth_pair, tmp_path):
 def test_run_surgery_value_splice_round_trip(synth_pair, tmp_path):
     host_path, donor_path = synth_pair(layers=2)
     forward = tmp_path / "fwd.safetensors"
-    run_surgery([_make_plan(host_path, donor_path, mode="values")], [forward])
+    run_surgery(_make_plan(host_path, donor_path, mode="values"), [forward])
     back = tmp_path / "back.safetensors"
-    run_surgery([_make_plan(forward, host_path, mode="values")], [back])
+    run_surgery(_make_plan(forward, host_path, mode="values"), [back])
 
     host = open_checkpoint(host_path)
     recovered = open_checkpoint(back)
     profile = load_profile("llama-style")
     from svdsurgery.tensorstore import resolve_keys
 
-    for key, name in resolve_keys(host, profile).matched:
+    for key, name in resolve_keys(host, profile):
         if key.kind == "o":
             continue
         w0 = load_matrix(host, name)
@@ -212,7 +213,7 @@ def test_run_surgery_value_splice_round_trip(synth_pair, tmp_path):
 def test_run_surgery_value_splice_spectra(synth_pair, tmp_path):
     host_path, donor_path = synth_pair(layers=2)
     out = tmp_path / "values.safetensors"
-    [report] = run_surgery([_make_plan(host_path, donor_path, mode="values")], [out])
+    [report] = run_surgery(_make_plan(host_path, donor_path, mode="values"), [out])
     host, donor, edited = map(open_checkpoint, (host_path, donor_path, out))
     for rec in report.records:
         w_out = load_matrix(edited, rec.tensor)
@@ -227,7 +228,7 @@ def test_run_surgery_value_splice_spectra(synth_pair, tmp_path):
 def test_run_surgery_vector_splice_spectra(synth_pair, tmp_path):
     host_path, donor_path = synth_pair(layers=1)
     out = tmp_path / "vectors.safetensors"
-    [report] = run_surgery([_make_plan(host_path, donor_path, mode="vectors")], [out])
+    [report] = run_surgery(_make_plan(host_path, donor_path, mode="vectors"), [out])
     host, donor, edited = map(open_checkpoint, (host_path, donor_path, out))
     for rec in report.records:
         w_out = load_matrix(edited, rec.tensor)
@@ -244,7 +245,7 @@ def test_run_surgery_monotone_layer_selection(synth_pair, tmp_path):
 
     def edited_tensors(layers):
         out = tmp_path / f"mono_{layers.replace(':', '')}.safetensors"
-        [report] = run_surgery([_make_plan(host_path, donor_path, layers=layers)], [out])
+        [report] = run_surgery(_make_plan(host_path, donor_path, layers=layers), [out])
         return {rec.tensor for rec in report.records if rec.status == "edited"}
 
     first1 = edited_tensors("first:1")
@@ -257,7 +258,7 @@ def test_run_surgery_monotone_layer_selection(synth_pair, tmp_path):
 def test_run_surgery_empty_ranks_copies_bytes(synth_pair, tmp_path):
     host_path, donor_path = synth_pair(layers=1)
     out = tmp_path / "none.safetensors"
-    [report] = run_surgery([_make_plan(host_path, donor_path, ranks="top:0")], [out])
+    [report] = run_surgery(_make_plan(host_path, donor_path, ranks="top:0"), [out])
     assert report.edited_count == 0
     assert all(rec.status == "copied" for rec in report.records)
     host = open_checkpoint(host_path)
@@ -271,7 +272,7 @@ def test_run_surgery_empty_ranks_copies_bytes(synth_pair, tmp_path):
 def test_run_surgery_report_contents(synth_pair, tmp_path):
     host_path, donor_path = synth_pair(layers=1)
     out = tmp_path / "rep.safetensors"
-    [report] = run_surgery([_make_plan(host_path, donor_path, ranks="top:3")], [out])
+    [report] = run_surgery(_make_plan(host_path, donor_path, ranks="top:3"), [out])
     assert report.plan["mode"] == "values"
     assert report.plan["ranks"] == "top:3"
     rec = report.records[0]
@@ -298,7 +299,7 @@ def test_run_surgery_flags_degenerate_boundary(tmp_path):
     host_path.write_bytes(host)
     donor_path.write_bytes(donor)
     [report] = run_surgery(
-        [_make_plan(host_path, donor_path, ranks="top:1")], [tmp_path / "out.safetensors"]
+        _make_plan(host_path, donor_path, ranks="top:1"), [tmp_path / "out.safetensors"]
     )
     assert report.records[0].degenerate_boundary
 
@@ -310,7 +311,7 @@ def test_run_surgery_shape_mismatch_rejected(tmp_path):
     host_path.write_bytes(pack_container({name: ("F64", np.eye(4))}))
     donor_path.write_bytes(pack_container({name: ("F64", np.eye(5))}))
     with pytest.raises(ValidationError, match="shape"):
-        run_surgery([_make_plan(host_path, donor_path)], [tmp_path / "out.safetensors"])
+        run_surgery(_make_plan(host_path, donor_path), [tmp_path / "out.safetensors"])
 
 
 def test_run_surgery_missing_donor_key_rejected(tmp_path):
@@ -321,16 +322,36 @@ def test_run_surgery_missing_donor_key_rejected(tmp_path):
     host_path.write_bytes(pack_container({q: ("F64", np.eye(4)), k: ("F64", np.eye(4))}))
     donor_path.write_bytes(pack_container({q: ("F64", np.eye(4))}))
     with pytest.raises(ValidationError, match="donor checkpoint has no tensor"):
-        run_surgery([_make_plan(host_path, donor_path)], [tmp_path / "out.safetensors"])
+        run_surgery(_make_plan(host_path, donor_path), [tmp_path / "out.safetensors"])
 
 
-def test_run_surgery_plans_must_share_host_and_donor(synth_pair, tmp_path):
+def test_run_surgery_missing_donor_key_rejected_only_when_a_grid_point_selects_it(tmp_path):
+    names = [f"model.layers.{layer}.self_attn.q_proj.weight" for layer in (0, 1)]
+    host_path = tmp_path / "host.safetensors"
+    donor_path = tmp_path / "donor.safetensors"
+    host_path.write_bytes(pack_container({name: ("F64", np.eye(4)) for name in names}))
+    donor_path.write_bytes(pack_container({names[0]: ("F64", np.eye(4))}))
+    [report] = run_surgery(
+        _make_plan(host_path, donor_path, layers="first:1"), [tmp_path / "first.safetensors"]
+    )
+    assert [rec.tensor for rec in report.records] == names[:1]
+    with pytest.raises(ValidationError, match="donor checkpoint has no tensor for L001.q"):
+        _make_plan(host_path, donor_path, grid=[("first:1", "all"), ("all", "all")])
+
+
+def test_run_surgery_needs_one_output_per_grid_point(synth_pair, tmp_path):
     host_path, donor_path = synth_pair(layers=1)
-    plans = [_make_plan(host_path, donor_path), _make_plan(donor_path, host_path)]
+    plan = _make_plan(host_path, donor_path, grid=[("all", "top:1"), ("all", "top:2")])
     outs = [tmp_path / "a.safetensors", tmp_path / "b.safetensors"]
-    with pytest.raises(ValidationError, match="share"):
-        run_surgery(plans, outs)
     with pytest.raises(ValidationError, match="output paths"):
-        run_surgery(plans[:1], outs)
+        run_surgery(plan, outs[:1])
     assert not any(out.exists() for out in outs)
+
+
+def test_run_surgery_refuses_to_write_over_its_host(synth_pair):
+    host_path, donor_path = synth_pair(layers=1)
+    before = host_path.read_bytes()
+    with pytest.raises(ValidationError, match="its own base"):
+        run_surgery(_make_plan(host_path, donor_path, ranks="top:1"), [host_path])
+    assert host_path.read_bytes() == before
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from svdsurgery.errors import NumericalError, ValidationError
 from svdsurgery.tensorstore import (
     BUILTIN_PROFILES,
+    MatrixKey,
     NamingProfile,
     decode_values,
     encode_edit,
@@ -133,6 +134,22 @@ def test_open_rejects_3d_shapes(tmp_path):
         open_checkpoint(path)
 
 
+@pytest.mark.parametrize("shape, offsets", [
+    ([2.7, 2], [0.9, 32]),
+    ([2.0, 2], [0, 32]),
+    ([True, 2], [0, 16]),
+    ([2, 2], [0, 32.0]),
+    ([2, 2], [False, 32]),
+    ("22", [0, 32]),
+    ([2, 2], ["0", "32"]),
+])
+def test_open_rejects_shapes_and_offsets_that_are_not_json_integers(shape, offsets, tmp_path):
+    header = {"a": {"dtype": "F64", "shape": shape, "data_offsets": offsets}}
+    path = _raw_header_file(tmp_path, header, b"\x00" * 32)
+    with pytest.raises(ValidationError, match="'a'.*JSON integers"):
+        open_checkpoint(path)
+
+
 def test_open_range_size_mismatch(tmp_path):
     header = {"a": {"dtype": "F32", "shape": [2, 2], "data_offsets": [0, 12]}}
     path = _raw_header_file(tmp_path, header, b"\x00" * 12)
@@ -231,8 +248,7 @@ def test_write_no_edits_payload_identical(write_container, tmp_path):
     path = write_container(tensors)
     ckpt = open_checkpoint(path)
     out = tmp_path / "copy.safetensors"
-    report = write_checkpoint(ckpt, {}, out)
-    assert report.tensors_edited == 0
+    write_checkpoint(ckpt, {}, out)
 
     original = path.read_bytes()
     copied = out.read_bytes()
@@ -262,8 +278,9 @@ def test_write_f32_exact_edit_roundtrips(write_container, tmp_path):
     ckpt = open_checkpoint(path)
     edit = np.array([[0.5, -2.0], [4.0, 128.0]])  # exactly representable in F32
     out = tmp_path / "edited.safetensors"
-    report = write_checkpoint(ckpt, {"w": encode_edit(ckpt, "w", edit)}, out)
-    assert report.rounding_errors["w"] == 0.0
+    encoded = encode_edit(ckpt, "w", edit)
+    write_checkpoint(ckpt, {"w": encoded}, out)
+    assert encoded.rounding_error == 0.0
     np.testing.assert_array_equal(load_matrix(open_checkpoint(out), "w"), edit)
 
 
@@ -273,10 +290,11 @@ def test_write_bf16_edit_rounds_to_nearest_even(write_container, tmp_path):
     ckpt = open_checkpoint(path)
     edit = rng.standard_normal((3, 5)) * 2.5
     out = tmp_path / "edited.safetensors"
-    report = write_checkpoint(ckpt, {"w": encode_edit(ckpt, "w", edit)}, out)
+    encoded = encode_edit(ckpt, "w", edit)
+    write_checkpoint(ckpt, {"w": encoded}, out)
     got = load_matrix(open_checkpoint(out), "w")
     np.testing.assert_array_equal(got, np.vectorize(bf16_oracle)(edit))
-    assert report.rounding_errors["w"] == pytest.approx(np.max(np.abs(got - edit)))
+    assert encoded.rounding_error == pytest.approx(np.max(np.abs(got - edit)))
 
 
 def test_write_force_f32(write_container, tmp_path):
@@ -327,6 +345,18 @@ def test_write_unwritable_path(write_container, tmp_path):
         write_checkpoint(ckpt, {}, tmp_path / "no_such_dir" / "x.safetensors")
 
 
+def test_write_refuses_to_overwrite_its_base(write_container, tmp_path):
+    path = write_container({"w": ("F32", np.ones((2, 2)))})
+    ckpt = open_checkpoint(path)
+    before = path.read_bytes()
+    link = tmp_path / "link.safetensors"
+    link.symlink_to(path)
+    for out in (path, str(path), link):
+        with pytest.raises(ValidationError, match="its own base"):
+            write_checkpoint(ckpt, {"w": encode_edit(ckpt, "w", np.zeros((2, 2)))}, out)
+        assert path.read_bytes() == before
+
+
 # ---------------------------------------------------------------------------
 # name resolution
 
@@ -341,11 +371,12 @@ def test_resolve_default_profile(write_container):
     ]
     path = write_container({n: ("F32", np.zeros((2, 2))) for n in names})
     res = resolve_keys(open_checkpoint(path), BUILTIN_PROFILES["llama-style"])
-    keys = [(key.layer, key.kind) for key, _ in res.matched]
+    keys = [(key.layer, key.kind) for key, _ in res]
     assert keys == [(0, "q"), (3, "mlp_down")]
-    assert "model.layers.0.self_attn.q_proj.bias" in res.unmatched
-    assert "model.embed_tokens.weight" in res.unmatched
-    assert "something.else" in res.unmatched
+    matched_names = {name for _, name in res}
+    assert "model.layers.0.self_attn.q_proj.bias" not in matched_names
+    assert "model.embed_tokens.weight" not in matched_names
+    assert "something.else" not in matched_names
 
 
 def test_resolve_qwen_profile_excludes_attention_bias(write_container):
@@ -355,8 +386,7 @@ def test_resolve_qwen_profile_excludes_attention_bias(write_container):
     ]
     path = write_container({n: ("F32", np.zeros((2, 2))) for n in names})
     res = resolve_keys(open_checkpoint(path), BUILTIN_PROFILES["qwen-style"])
-    assert [(k.layer, k.kind) for k, _ in res.matched] == [(1, "k")]
-    assert res.unmatched == ["model.layers.1.self_attn.k_proj.bias"]
+    assert res == [(MatrixKey(1, "k"), "model.layers.1.self_attn.k_proj.weight")]
 
 
 @given(perm=st.permutations(list(range(6))))
@@ -383,10 +413,10 @@ def test_resolve_is_order_invariant(perm):
         data_size=16,
     )
     res = resolve_keys(ckpt, BUILTIN_PROFILES["llama-style"])
-    assert [(k.layer, k.kind) for k, _ in res.matched] == [
+    assert [(k.layer, k.kind) for k, _ in res] == [
         (0, "q"), (0, "k"), (1, "v"), (1, "mlp_gate"), (2, "mlp_up"),
     ]
-    assert res.unmatched == ["model.norm.weight"]
+    assert "model.norm.weight" not in {name for _, name in res}
 
 
 def test_resolve_collision_rejected(write_container):
@@ -411,7 +441,7 @@ def test_profile_from_file(tmp_path, write_container):
     profile = load_profile(profile_path)
     path = write_container({"blk.5.attn_q.weight": ("F32", np.zeros((2, 2)))})
     res = resolve_keys(open_checkpoint(path), profile)
-    assert [(k.layer, k.kind) for k, _ in res.matched] == [(5, "q")]
+    assert [(k.layer, k.kind) for k, _ in res] == [(5, "q")]
 
 
 def test_unknown_profile_rejected():
