@@ -348,6 +348,7 @@ def run_adv_stats(params: dict) -> int:
 def run_penalty(params: dict) -> int:
     ckpt_ref, ckpt_cur = open_checkpoint(params["ref"]), open_checkpoint(params["current"])
     profile = load_profile(params["profile"])
+    profile.check_kinds(params["kinds"])
     pairs = _present_pairs(ckpt_ref, ckpt_cur, profile)
     rank = params["rank"]
     if rank < 1:

@@ -157,7 +157,9 @@ class AngleSpectrum:
 
     `cosines` descend, `angles_rad` ascend; angles near zero are evaluated
     through the orthogonal-complement residual, which stays accurate where
-    arccos of a near-unit cosine loses half the working digits.
+    arccos of a near-unit cosine loses half the working digits. A side of
+    `matrix_angles` whose basis spans the whole space holds exact ones and
+    zeros, taken without a decomposition.
     """
 
     cosines: np.ndarray  # descending, in [0, 1]
@@ -214,16 +216,29 @@ def principal_angles(ua: np.ndarray, ub: np.ndarray, side: str = "left") -> Angl
     return AngleSpectrum(cosines=cosines, angles_rad=angles, side=side, rank=ua.shape[1])
 
 
+def _whole_space(side: str, dim: int) -> AngleSpectrum:
+    return AngleSpectrum(cosines=np.ones(dim), angles_rad=np.zeros(dim), side=side, rank=dim)
+
+
 def matrix_angles(a: np.ndarray, b: np.ndarray) -> tuple[AngleSpectrum, AngleSpectrum]:
-    """Left and right singular-subspace angles between two same-shape matrices."""
+    """Left and right singular-subspace angles between two same-shape (m, n) matrices.
+
+    The thin left basis spans all of R^m when m <= n, and the right basis
+    all of R^n when n <= m; such a side's angles are exactly zero
+    (cosines one), so it is filled in without a decomposition. Only a
+    rectangular pair is decomposed, for the angles of its other side.
+    """
     a = ensure_matrix(a, "A")
     b = ensure_matrix(b, "B")
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
+    m, n = a.shape
+    if m == n:
+        return _whole_space("left", m), _whole_space("right", n)
     ta, tb = svd(a), svd(b)
-    left = principal_angles(ta.u, tb.u, side="left")
-    right = principal_angles(ta.v, tb.v, side="right")
-    return left, right
+    if m < n:
+        return _whole_space("left", m), principal_angles(ta.v, tb.v, side="right")
+    return principal_angles(ta.u, tb.u, side="left"), _whole_space("right", n)
 
 
 # ---------------------------------------------------------------------------

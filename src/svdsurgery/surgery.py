@@ -28,7 +28,6 @@ from .tensorstore import (
     encode_edit,
     load_matrix,
     pair_matrices,
-    resolve_keys,
     write_checkpoint,
 )
 
@@ -157,7 +156,7 @@ class SurgeryPlan:
     profile: NamingProfile
     grid: list[tuple[LayerSelector, RankSelector]]
     kinds: tuple[str, ...] = DEFAULT_SURGERY_KINDS
-    align: str = "none"  # "none" | "procrustes" (vectors mode, experimental)
+    align: str = "none"  # "none" | "procrustes" (vectors mode only, experimental)
     #: per grid point, the targets to edit, from `plan_selection`
     targets: list[list[Target]] = field(init=False)
 
@@ -166,6 +165,10 @@ class SurgeryPlan:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.align not in ("none", "procrustes"):
             raise ValidationError(f"align must be 'none' or 'procrustes', got {self.align!r}")
+        if self.align == "procrustes" and self.mode != "vectors":
+            raise ValidationError("align 'procrustes' needs mode 'vectors'; values mode keeps "
+                                  "the host's singular vectors, so there is nothing to align")
+        self.profile.check_kinds(self.kinds)
         self.targets = plan_selection(self)
 
     def echo(self, point: int) -> dict:
@@ -274,22 +277,18 @@ def plan_selection(plan: SurgeryPlan) -> list[list[Target]]:
     """Resolve and validate the targets to edit at each grid point.
 
     A grid point filters the host's matrices by kind and layer; a key that
-    some grid point selects and the donor lacks is an error. Keys are
-    resolved once for the whole grid. `SurgeryPlan` runs this once, when it
-    is built, and keeps the result as `targets`.
+    some grid point selects and the donor lacks is an error. Each
+    checkpoint's keys are resolved once for the whole grid, and the layer
+    list is that of the host's matrices of the plan's kinds. `SurgeryPlan`
+    runs this once, when it is built, and keeps the result as `targets`.
     """
     kinds = set(plan.kinds)
-    host_layers = sorted(
-        {key.layer for key, _ in resolve_keys(plan.host, plan.profile) if key.kind in kinds}
-    )
-    layer_sets = [layers.resolve(host_layers) for layers, _ in plan.grid]
-    selected = pair_matrices(
-        plan.host, plan.donor, plan.profile,
-        lambda key: key.kind in kinds and any(key.layer in layers for layers in layer_sets),
-    )
+    paired = pair_matrices(plan.host, plan.donor, plan.profile, lambda key: key.kind in kinds)
+    host_layers = sorted({key.layer for key, _, _ in paired})
     targets = []
-    for layers in layer_sets:
-        point = [target for target in selected if target[0].layer in layers]
+    for layers, _ in plan.grid:
+        chosen = layers.resolve(host_layers)
+        point = [target for target in paired if target[0].layer in chosen]
         for key, _, donor_name in point:
             if donor_name is None:
                 raise ValidationError(f"donor checkpoint has no tensor for {key.label}")
@@ -314,13 +313,14 @@ def _splice_target(
         w_donor = load_matrix(plan.donor, donor_name)
         host_t = svd(w_host)
         donor_t = svd(w_donor)
-    align = plan.align == "procrustes" and plan.mode == "vectors"
     results = []
     for ranks in rank_sets:
         if ranks.size == 0:
             results.append((MatrixRecord(key=key, tensor=host_name, status="copied"), None))
             continue
-        point_donor_t = _aligned_donor(host_t, donor_t, ranks) if align else donor_t
+        point_donor_t = (
+            _aligned_donor(host_t, donor_t, ranks) if plan.align == "procrustes" else donor_t
+        )
         w_out = mixed_matrix(host_t, point_donor_t, plan.mode, ranks)
         record = MatrixRecord(
             key=key,

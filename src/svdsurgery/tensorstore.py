@@ -382,6 +382,16 @@ class NamingProfile:
             )
         return hits[0] if hits else None
 
+    def check_kinds(self, kinds) -> None:
+        """Reject matrix kinds that none of this profile's templates resolves."""
+        known = {kind for _, kind in self.patterns}
+        unknown = [kind for kind in kinds if kind not in known]
+        if unknown:
+            raise ValidationError(
+                f"kinds {', '.join(map(repr, unknown))} not in profile {self.name!r}, "
+                f"which resolves {', '.join(sorted(known))}"
+            )
+
 
 # qwen-style checkpoints use the llama-style names; only the echoed name differs
 BUILTIN_PROFILES = {

@@ -172,6 +172,16 @@ def test_shape_mismatch_exits_2_and_writes_nothing(pair, rollouts, tmp_path):
         assert files(out) == {}
 
 
+def test_restore_rejects_a_shape_mismatch_outside_the_selected_layers(pair, rollouts, tmp_path):
+    arrays = synth_decoder_arrays(23)
+    arrays["model.layers.1.self_attn.q_proj.weight"] = np.eye(5)
+    write_ckpt(pair[1], arrays)
+    out = tmp_path / "out"
+    argv = commands(pair, rollouts)["restore-values"] + ["--layers", "list:0"]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert files(out) == {}
+
+
 def test_missing_input_file_exits_2(pair, tmp_path):
     out = tmp_path / "out"
     code = cli.main(["svd-diff", "--a", str(pair[0]), "--b", str(tmp_path / "nope"),
@@ -226,6 +236,31 @@ def test_angles_layout(pair, rollouts, tmp_path):
     assert set(report["matrices"][0]) == {"key", "tensor", "side", "rank", "min_deg",
                                           "max_deg", "mean_deg"}
     assert [m["side"] for m in report["matrices"][:2]] == ["left", "right"]
+
+
+def test_angles_decomposes_only_rectangular_pairs(pair, rollouts, tmp_path, monkeypatch):
+    calls = []  # per matrix_angles call: [shape, svd calls, principal_angles calls]
+
+    def counted(name):
+        original = getattr(spectral, name)
+
+        def wrapper(*args, **kwargs):
+            if name == "matrix_angles":
+                calls.append([np.shape(args[0]), 0, 0])
+            else:
+                calls[-1][1 if name == "svd" else 2] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("matrix_angles", "svd", "principal_angles"):
+        monkeypatch.setattr(spectral, name, counted(name))
+    monkeypatch.setattr(cli, "matrix_angles", spectral.matrix_angles)
+    assert cli.main(commands(pair, rollouts)["angles"] + ["--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 14
+    assert {m == n for (m, n), _, _ in calls} == {True, False}
+    for (m, n), svds, angles in calls:
+        assert (svds, angles) == ((0, 0) if m == n else (2, 1))
 
 
 def test_restore_layout(pair, rollouts, tmp_path):
@@ -310,6 +345,25 @@ def test_restore_exits_2_on_a_key_missing_from_the_donor(pair, rollouts, tmp_pat
     out = tmp_path / "out"
     assert cli.main(commands(pair, rollouts)["restore-values"] + ["--out", str(out)]) == 2
     assert "L001.mlp_up" in capsys.readouterr().err
+    assert files(out) == {}
+
+
+@pytest.mark.parametrize("name", ["restore-values", "penalty"])
+@pytest.mark.parametrize("kinds", ["nope", "q,nope"])
+def test_kind_outside_the_profile_exits_2_and_names_kinds(name, kinds, pair, rollouts, tmp_path,
+                                                          capsys):
+    out = tmp_path / "out"
+    assert cli.main(commands(pair, rollouts)[name] + ["--kinds", kinds, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "kinds" in err and "'nope'" in err
+    assert files(out) == {}
+
+
+def test_procrustes_alignment_in_values_mode_exits_2(pair, rollouts, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = commands(pair, rollouts)["restore-values"] + ["--align", "procrustes"]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert "procrustes" in capsys.readouterr().err
     assert files(out) == {}
 
 
@@ -406,7 +460,7 @@ def test_restore_sweep_plans_each_grid_point_once(pair, tmp_path, monkeypatch):
     manifest = restore_manifest(pair, tmp_path / "out", mode="values", sweep=sweep)
     assert run_manifest(tmp_path, manifest) == 0
     # one plan for the whole sweep, so key resolution does not grow with the grid
-    assert calls == {"plan_selection": 1, "resolve_keys": 3}
+    assert calls == {"plan_selection": 1, "resolve_keys": 2}
 
 
 def test_kl_direction_flag_and_manifest_key_exit_2(rollouts, tmp_path):
@@ -670,10 +724,11 @@ def test_sweep_holds_edits_narrowed_not_in_float64(tmp_path):
 )
 def test_report_bytes_do_not_depend_on_openblas_threads(synth_pair, tmp_path):
     host, donor = synth_pair(layers=1, dim=512, kv_dim=128)
-    profile = tmp_path / "q-only.json"
+    # a tall kind: `angles` computes its left side, where a square kind needs no numerics
+    profile = tmp_path / "mlp-up-only.json"
     profile.write_text(json.dumps({
-        "name": "q-only",
-        "patterns": [{"template": "model.layers.{layer}.self_attn.q_proj.weight", "kind": "q"}],
+        "name": "mlp-up-only",
+        "patterns": [{"template": "model.layers.{layer}.mlp.up_proj.weight", "kind": "mlp_up"}],
     }))
     argvs = [
         ["restore", "--mode", "vectors", "--host", str(host), "--donor", str(donor),

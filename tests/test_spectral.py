@@ -156,11 +156,45 @@ def test_svd_non_convergence_is_a_numerical_error(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", not_converging)
-    w = np.eye(3)
-    for call in (lambda: svd(w), lambda: delta_sigma(w, w), lambda: matrix_angles(w, w),
+    w, tall = np.eye(3), np.eye(3, 2)  # a square pair's angles need no decomposition
+    for call in (lambda: svd(w), lambda: delta_sigma(w, w), lambda: matrix_angles(tall, tall),
                  lambda: principal_angles(w, w), lambda: procrustes(w, w)):
         with pytest.raises(NumericalError, match="did not converge"):
             call()
+
+
+def test_square_pair_angles_are_exact_without_a_decomposition(monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("a square pair needs no decomposition")
+
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, 6, 6))
+    monkeypatch.setattr(np.linalg, "svd", not_called)
+    left, right = matrix_angles(a, b)
+    for spec, side in ((left, "left"), (right, "right")):
+        assert (spec.side, spec.rank) == (side, 6)
+        assert np.array_equal(spec.cosines, np.ones(6))
+        assert np.array_equal(spec.angles_rad, np.zeros(6))
+
+
+@pytest.mark.parametrize("shape", [(9, 5), (5, 9)])
+def test_rectangular_pair_decomposes_for_its_partial_side_only(shape):
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal(shape)
+    b = a + 0.1 * rng.standard_normal(shape)
+    left, right = matrix_angles(a, b)
+    m, n = shape
+    tall = m > n
+    full, partial = (right, left) if tall else (left, right)
+    want = (principal_angles(svd(a).u, svd(b).u, side="left") if tall
+            else principal_angles(svd(a).v, svd(b).v, side="right"))
+    assert (full.side, full.rank) == ("right" if tall else "left", min(m, n))
+    assert np.array_equal(full.cosines, np.ones(min(m, n)))
+    assert np.array_equal(full.angles_rad, np.zeros(min(m, n)))
+    assert (partial.side, partial.rank) == (want.side, want.rank)
+    assert np.array_equal(partial.cosines, want.cosines)
+    assert np.array_equal(partial.angles_rad, want.angles_rad)
+    assert partial.max_rad > 1e-3
 
 
 def test_value_shift_recovered_and_subspaces_fixed():
