@@ -17,9 +17,7 @@ from .advantage import (
     TrainabilityVerdict,
     TrajectoryTrace,
     gae,
-    ppo_objective,
     read_rollout_log,
-    silverman_test,
     summarize,
     verdict,
 )
@@ -33,7 +31,6 @@ from .spectral import (
     matrix_angles,
     principal_angles,
     procrustes,
-    reconstruct,
     svd,
 )
 from .surgery import (
@@ -89,14 +86,11 @@ __all__ = [
     "open_checkpoint",
     "penalty_grad",
     "penalty_value",
-    "ppo_objective",
     "principal_angles",
     "procrustes",
     "read_rollout_log",
-    "reconstruct",
     "resolve_keys",
     "run_surgery",
-    "silverman_test",
     "summarize",
     "svd",
     "verdict",

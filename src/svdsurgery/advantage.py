@@ -40,7 +40,7 @@ SILVERMAN_MAX_N = 5000
 
 
 # ---------------------------------------------------------------------------
-# generalized advantage estimation and the clipped objective
+# generalized advantage estimation
 
 
 @dataclass(frozen=True)
@@ -92,16 +92,6 @@ def gae(trace: TrajectoryTrace, p: GaeParams) -> np.ndarray:
     return adv
 
 
-def ppo_objective(ratio: float, advantage: float, epsilon: float) -> float:
-    """Clipped surrogate: min(ratio * A, clip(ratio, 1-eps, 1+eps) * A)."""
-    if not ratio > 0.0:
-        raise ValidationError(f"probability ratio must be positive, got {ratio}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"epsilon must lie in (0, 1), got {epsilon}")
-    clipped = min(max(ratio, 1.0 - epsilon), 1.0 + epsilon)
-    return min(ratio * advantage, clipped * advantage)
-
-
 # ---------------------------------------------------------------------------
 # distribution summary
 
@@ -143,15 +133,6 @@ class AdvantageSummary:
     kl_vs_matched_normal: float
     silverman_p: float
     estimator_config: dict = field(default_factory=dict)
-
-
-def _as_samples(samples, min_count: int, what: str = "samples") -> np.ndarray:
-    arr = np.asarray(samples, dtype=np.float64).reshape(-1)
-    if arr.shape[0] < min_count:
-        raise ValidationError(f"need at least {min_count} {what}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"{what} contain non-finite values")
-    return arr
 
 
 def _histogram_edges(x: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
@@ -199,7 +180,11 @@ def _sample_moments(samples) -> tuple[np.ndarray, float, float]:
     Raises NumericalError when the variance of distinct samples underflows
     to 0 or overflows float64.
     """
-    x = _as_samples(samples, MIN_SAMPLES)
+    x = np.asarray(samples, dtype=np.float64).reshape(-1)
+    if x.shape[0] < MIN_SAMPLES:
+        raise ValidationError(f"need at least {MIN_SAMPLES} samples, got {x.shape[0]}")
+    if not np.all(np.isfinite(x)):
+        raise NumericalError("samples contain non-finite values")
     if x.max() == x.min():
         raise ValidationError("zero variance: all samples identical")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -297,7 +282,16 @@ def _kde_on_grid(x: np.ndarray, h: float) -> np.ndarray:
 
 
 def _kde(x: np.ndarray, h: float) -> np.ndarray:
-    """The `_kde_on_grid` curve from linear-binned counts (see `silverman_test`).
+    """The `_kde_on_grid` curve from linear-binned counts.
+
+    The sample is binned onto the grid refined r = ceil(4 * spacing / h)
+    times, so that each fine bin is at most h/4 wide, convolved with the
+    sampled kernel, and read at every r-th point. When the refined grid
+    would have more points than the sample (bandwidths far below the sample
+    range, as with a far outlier, or fewer than 512 samples), the curve is
+    evaluated directly instead. Binning adds a little smoothing (variance at
+    most (h/4)^2/4 per sample), so the critical bandwidth can come out lower
+    than the direct sum's by up to about 0.8%.
 
     The convolution is direct, not by FFT: every product is non-negative, so
     empty stretches between clusters carry no round-off ripple.
@@ -360,6 +354,16 @@ def _critical_bandwidth(x: np.ndarray, mode_budget: int, rel_tol: float = 1e-3) 
 
 
 def _silverman(x: np.ndarray, mode_budget: int, bootstrap: int, seed: int):
+    """Smoothed-bootstrap p-value for "more than `mode_budget` modes", and the critical bandwidth.
+
+    The critical bandwidth is found by bisection to relative 1e-3, counting
+    modes of the Gaussian-kernel density on a 512-point grid spanning
+    [min - 3h, max + 3h] (see `_kde`). Each resample is smoothed at the
+    critical bandwidth and shrunk by (1 + h^2/s^2)^(-1/2) to restore the
+    sample variance; the p-value is the fraction of resamples whose density
+    at the critical bandwidth still exceeds the mode budget. Deterministic
+    for a fixed seed.
+    """
     n = x.shape[0]
     h = _critical_bandwidth(x, mode_budget)
     scale = 1.0 / math.sqrt(1.0 + h * h / float(x.var()))
@@ -370,34 +374,6 @@ def _silverman(x: np.ndarray, mode_budget: int, bootstrap: int, seed: int):
         if _count_modes(_kde(resample, h)) > mode_budget:
             exceed += 1
     return exceed / bootstrap, h
-
-
-def silverman_test(samples, mode_budget: int = 1, bootstrap: int = 500, seed: int = 0) -> float:
-    """Smoothed-bootstrap p-value for "more than `mode_budget` modes".
-
-    The critical bandwidth is found by bisection to relative 1e-3, counting
-    modes of the Gaussian-kernel density on a 512-point grid spanning
-    [min - 3h, max + 3h]. Each resample is smoothed at the critical bandwidth
-    and shrunk by (1 + h^2/s^2)^(-1/2) to restore the sample variance; the
-    p-value is the fraction of resamples whose density at the critical
-    bandwidth still exceeds the mode budget. Deterministic for a fixed seed.
-
-    The density is evaluated by linear binning: the sample is binned onto
-    the grid refined r = ceil(4 * spacing / h) times, so that each fine bin
-    is at most h/4 wide, convolved with the sampled kernel, and read at every
-    r-th point. When the refined grid would have more points than the
-    sample (bandwidths far below the sample range, as with a far outlier, or
-    fewer than 512 samples), it is evaluated directly instead. Binning adds
-    a little smoothing (variance at most (h/4)^2/4 per sample), so the
-    critical bandwidth can come out lower than the direct sum's by up to
-    about 0.8%.
-    """
-    x = _as_samples(samples, 50)
-    cfg = EstimatorConfig(mode_budget=mode_budget, bootstrap=bootstrap, seed=seed)
-    if bootstrap < 100:
-        raise ValidationError(f"bootstrap count must be >= 100, got {bootstrap}")
-    p, _ = _silverman(x, cfg.mode_budget, cfg.bootstrap, cfg.seed)
-    return p
 
 
 # ---------------------------------------------------------------------------

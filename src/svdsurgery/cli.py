@@ -34,8 +34,11 @@ adv-stats or penalty) plus that command's parameters:
   each a non-empty list of selector strings; each list replaces the single
   selector, and every (layers, ranks) pair is one grid point with its own
   outputs. A restore is one plan over all its grid points, planned before
-  the first output is written. It runs matrix by matrix, so each target is
-  decomposed once per restore, not once per grid point.
+  the first output is written. It starts every grid point's checkpoint
+  first, then runs matrix by matrix: each target is decomposed once per
+  restore, not once per grid point, and each grid point's edit of it is
+  written into that checkpoint at once, so memory does not grow with the
+  number of layers or grid points.
 
 Any other key is an error. `kinds` may be a list of strings or a
 comma-separated string.
@@ -358,15 +361,18 @@ def run_penalty(params: dict) -> int:
     for key, name_ref, name_cur in pairs:
         if key.kind not in params["kinds"]:
             continue
+        # one matrix at a time: the reference is fitted and dropped before the current loads
         w_ref = load_matrix(ckpt_ref, name_ref)
-        w_cur = load_matrix(ckpt_cur, name_cur)
         rank_used = min(rank, min(w_ref.shape))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # degeneracy lands in the table
             ref = fit_reference(w_ref, rank_used)
+        del w_ref
+        w_cur = load_matrix(ckpt_cur, name_cur)
         value = penalty_value(w_cur, ref)
         rows.append((key, name_ref, rank_used, value, ref.degenerate))
         per_kind[key.kind] = per_kind.get(key.kind, 0.0) + value
+        del w_cur, ref
     if not rows:
         raise ValidationError("no matrices selected; check --kinds against the profile")
 

@@ -82,19 +82,6 @@ def svd(w: np.ndarray) -> SvdTriple:
     return SvdTriple(u=u, sigma=s, v=v)
 
 
-def reconstruct(t: SvdTriple, keep=None) -> np.ndarray:
-    """Sum of sigma_i * u_i v_i^T over the kept rank indices (all by default)."""
-    if keep is None:
-        idx = np.arange(t.rank)
-    else:
-        idx = np.unique(np.asarray(list(keep), dtype=np.int64))
-        if idx.size and (idx[0] < 0 or idx[-1] >= t.rank):
-            raise ValidationError(f"rank indices out of bounds for rank {t.rank}")
-    if idx.size == 0:
-        return np.zeros(t.shape)
-    return (t.u[:, idx] * t.sigma[idx]) @ t.v[:, idx].T
-
-
 # ---------------------------------------------------------------------------
 # singular-value drift
 

@@ -3,7 +3,11 @@
 A surgery keeps one checkpoint as the host, takes the selected spectral part
 from the donor, and writes the edited model. One `SurgeryPlan` describes one
 restore run: a host, a donor, a mode and the matrix kinds, plus a grid of
-(layers, ranks) selections, each of which writes its own checkpoint.
+(layers, ranks) selections, each of which writes its own checkpoint. A run
+streams: every grid point's checkpoint is started before the first matrix
+is loaded, and each edit is written into it as soon as it is encoded, so
+peak memory is set by the largest matrix, not by the number of layers or
+grid points.
 Pairing of singular directions is by rank index after canonical sorting;
 mixed column sets are used as-is, with no re-orthogonalization, so the
 report flags matrices whose selection boundary falls inside a
@@ -12,6 +16,8 @@ near-degenerate gap.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +28,7 @@ from .spectral import DEGENERATE_GAP_RATIO, SvdTriple, procrustes, svd
 from .tensorstore import (
     DEFAULT_SURGERY_KINDS,
     Checkpoint,
-    EncodedEdit,
+    CheckpointWriter,
     MatrixKey,
     NamingProfile,
     encode_edit,
@@ -297,49 +303,60 @@ def plan_selection(plan: SurgeryPlan) -> list[list[Target]]:
 
 
 def _splice_target(
-    plan: SurgeryPlan, target: Target, rank_selectors: list[RankSelector], force_f32: bool
-) -> list[tuple[MatrixRecord, EncodedEdit | None]]:
-    """The record, and the encoded edit if any, of one target for each rank selector.
+    plan: SurgeryPlan,
+    target: Target,
+    points: list[tuple[RankSelector, CheckpointWriter]],
+    force_f32: bool,
+) -> list[MatrixRecord]:
+    """The record of one target for each (rank selector, writer) grid point.
 
     Host and donor are decomposed once, and only when some selector picks
-    ranks of this matrix. Each mixed matrix is narrowed to its stored dtype
-    as soon as its record is taken, so no float64 result outlives its grid
+    ranks of this matrix. Neither float64 matrix is held across the other's
+    decomposition: each is decoded again for the record's distances. Each
+    mixed matrix is encoded to its stored dtype and written as soon as its
+    record is taken, so no float64 result or encoded edit outlives its grid
     point.
     """
     key, host_name, donor_name = target
-    w_host = load_matrix(plan.host, host_name)
-    rank_sets = [ranks.resolve(min(w_host.shape)) for ranks in rank_selectors]
-    if any(ranks.size for ranks in rank_sets):
-        w_donor = load_matrix(plan.donor, donor_name)
-        host_t = svd(w_host)
-        donor_t = svd(w_donor)
-    results = []
-    for ranks in rank_sets:
+    thin_rank = min(plan.host.index[host_name].shape)
+    rank_sets = [ranks.resolve(thin_rank) for ranks, _ in points]
+    if not any(ranks.size for ranks in rank_sets):
+        load_matrix(plan.host, host_name)  # a non-finite host fails as it would if edited
+        return [MatrixRecord(key=key, tensor=host_name, status="copied") for _ in points]
+    host_t = svd(load_matrix(plan.host, host_name))
+    donor_t = svd(load_matrix(plan.donor, donor_name))
+    records = []
+    for ranks, (_, writer) in zip(rank_sets, points):
         if ranks.size == 0:
-            results.append((MatrixRecord(key=key, tensor=host_name, status="copied"), None))
+            records.append(MatrixRecord(key=key, tensor=host_name, status="copied"))
             continue
         point_donor_t = (
             _aligned_donor(host_t, donor_t, ranks) if plan.align == "procrustes" else donor_t
         )
         w_out = mixed_matrix(host_t, point_donor_t, plan.mode, ranks)
-        record = MatrixRecord(
+        w_host = load_matrix(plan.host, host_name)
+        fro_vs_host = float(np.linalg.norm(w_out - w_host))
+        max_entry_change = float(np.max(np.abs(w_out - w_host)))
+        del w_host
+        fro_vs_donor = float(np.linalg.norm(w_out - load_matrix(plan.donor, donor_name)))
+        records.append(MatrixRecord(
             key=key,
             tensor=host_name,
             status="edited",
             ranks_touched=int(ranks.size),
             rank_lo=int(ranks.min()),
             rank_hi=int(ranks.max()),
-            fro_vs_host=float(np.linalg.norm(w_out - w_host)),
-            fro_vs_donor=float(np.linalg.norm(w_out - w_donor)),
-            max_entry_change=float(np.max(np.abs(w_out - w_host))),
+            fro_vs_host=fro_vs_host,
+            fro_vs_donor=fro_vs_donor,
+            max_entry_change=max_entry_change,
             degenerate_boundary=(
                 _boundary_degenerate(host_t.sigma, ranks)
                 or _boundary_degenerate(point_donor_t.sigma, ranks)
             ),
-        )
-        results.append((record, encode_edit(plan.host, host_name, w_out, force_f32)))
+        ))
+        writer.write_edit(host_name, encode_edit(plan.host, host_name, w_out, force_f32))
         del w_out, point_donor_t  # free before the next grid point mixes its own
-    return results
+    return records
 
 
 def run_surgery(
@@ -347,36 +364,60 @@ def run_surgery(
 ) -> list[SurgeryReport]:
     """Execute a plan; grid point i writes its checkpoint to `outs[i]`.
 
-    The run is matrix-major: every matrix that any grid point targets is
-    loaded and decomposed once, in key order, and mixed for each grid point
-    that selects it (see `_splice_target`). Every matrix in a grid point's
-    targets is replaced by the mixed_matrix output; all other tensors are
-    copied byte-exact. A selection that resolves to no ranks leaves the
-    tensor untouched, and a matrix no grid point selects ranks of gets no
-    SVD.
+    The outputs are streamed. Before any matrix is loaded, `write_checkpoint`
+    starts each grid point's file: the header, whose edited tensors and
+    their dtypes follow from the header shapes and the rank selectors, and
+    every tensor that grid point leaves unedited, copied byte-exact. The run
+    then walks every matrix that any grid point targets once, in key order,
+    decomposes it once and writes each grid point's mixed_matrix output into
+    that grid point's file as soon as it is encoded (see `_splice_target`).
+    A selection that resolves to no ranks leaves the tensor untouched, and a
+    matrix no grid point selects ranks of gets no SVD. So the run holds one
+    matrix's working set at a time, however many layers and grid points the
+    plan has.
+
+    An output that is the host or the donor file is refused before any
+    output is opened. If the run fails, every output it started is removed.
     """
     if len(plan.grid) != len(outs):
         raise ValidationError(f"{len(plan.grid)} grid points but {len(outs)} output paths")
+    for out in outs:
+        for role, source in (("own base", plan.host), ("donor", plan.donor)):
+            if os.path.exists(out) and os.path.samefile(out, source.path):
+                raise ValidationError(f"cannot write checkpoint over its {role} {source.path}")
 
     # every grid point's targets are in key order, so records append in that order
     chosen = [set(targets) for targets in plan.targets]
+    edited = [
+        sorted(name for _, name, _ in targets
+               if ranks.resolve(min(plan.host.index[name].shape)).size)
+        for targets, (_, ranks) in zip(plan.targets, plan.grid)
+    ]
     records: list[list[MatrixRecord]] = [[] for _ in chosen]
-    edits: list[dict[str, EncodedEdit]] = [{} for _ in chosen]
-    for target in sorted(set().union(*chosen), key=lambda t: t[0].sort_key()):
-        users = [i for i, targets in enumerate(chosen) if target in targets]
-        spliced = _splice_target(plan, target, [plan.grid[i][1] for i in users], force_f32)
-        for i, (record, edit) in zip(users, spliced):
-            records[i].append(record)
-            if edit is not None:
-                edits[i][target[1]] = edit
+    started = []
+    try:
+        writers = []
+        for names, out in zip(edited, outs):
+            started.append(out)
+            dtypes = {name: "F32" if force_f32 else plan.host.index[name].dtype for name in names}
+            writers.append(write_checkpoint(plan.host, dtypes, out))
+        for target in sorted(set().union(*chosen), key=lambda t: t[0].sort_key()):
+            users = [i for i, targets in enumerate(chosen) if target in targets]
+            points = [(plan.grid[i][1], writers[i]) for i in users]
+            for i, record in zip(users, _splice_target(plan, target, points, force_f32)):
+                records[i].append(record)
+    except BaseException:
+        for out in started:
+            with contextlib.suppress(OSError):
+                os.unlink(out)
+        raise
 
-    reports = []
-    for point, (point_records, point_edits, out) in enumerate(zip(records, edits, outs)):
-        write_checkpoint(plan.host, point_edits, out)
-        reports.append(SurgeryReport(
+    return [
+        SurgeryReport(
             plan=plan.echo(point),
             records=point_records,
-            copied_tensors=sorted(set(plan.host.index) - set(point_edits)),
-            rounding_errors={name: edit.rounding_error for name, edit in point_edits.items()},
-        ))
-    return reports
+            copied_tensors=sorted(set(plan.host.index) - set(names)),
+            rounding_errors=dict(writer.rounding_errors),
+        )
+        for point, (point_records, names, writer) in enumerate(zip(records, edited, writers))
+    ]

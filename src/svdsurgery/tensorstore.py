@@ -7,8 +7,10 @@ payload section. The optional "__metadata__" header entry is a
 string-to-string map and is preserved on rewrite.
 
 All analysis happens in float64. Narrowing back to a stored dtype happens
-when an edit is encoded (`encode_edit`), with round-to-nearest-even, so a
-writer holds each edit in its stored width rather than in float64. BF16 has
+when an edit is encoded (`encode_edit`), with round-to-nearest-even. A
+checkpoint is written in two steps: `write_checkpoint` writes the header and
+every unedited tensor, and the writer it returns puts each encoded edit in
+place as it arrives, so no writer holds more than one edit. BF16 has
 no native numpy dtype; values pass through float32 (every BF16 value is
 exactly representable there) and are then rounded to BF16 on the raw bits.
 """
@@ -20,7 +22,7 @@ import json
 import os
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,9 @@ HEADER_LEN_BYTES = 8
 DTYPE_SIZES = {"F64": 8, "F32": 4, "F16": 2, "BF16": 2}
 
 _NUMPY_DTYPES = {"F64": "<f8", "F32": "<f4", "F16": "<f2"}
+
+#: Largest piece of an unedited tensor that a checkpoint write holds at once.
+COPY_CHUNK_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +249,58 @@ def encode_edit(
     return EncodedEdit(dtype=dtype, data=data, rounding_error=err)
 
 
-def write_checkpoint(base: Checkpoint, edits: dict[str, EncodedEdit], out: str | Path) -> None:
-    """Write `base` with the encoded `edits` substituted, all other tensors copied byte-exact.
+@dataclass(frozen=True)
+class CheckpointWriter:
+    """The byte ranges of a started checkpoint file that are left for its edits."""
+
+    path: Path
+    #: edited tensor name -> (dtype, start, end) of its bytes in the file
+    slots: dict[str, tuple[str, int, int]]
+    #: edited tensor name -> rounding error of the edit written there so far
+    rounding_errors: dict[str, float] = field(default_factory=dict)
+
+    def write_edit(self, name: str, edit: EncodedEdit) -> None:
+        """Write `edit` into the byte range that tensor `name` was given."""
+        dtype, start, end = self.slots.get(name, (None, 0, 0))
+        if edit.dtype != dtype or len(edit.data) != end - start:
+            raise ValidationError(
+                f"encoded edit for {name!r} does not fit its place in {self.path}"
+            )
+        try:
+            with open(self.path, "r+b") as fh:
+                fh.seek(start)
+                fh.write(edit.data)
+        except OSError as exc:
+            raise WriteError(f"cannot write checkpoint to {self.path}: {exc}") from exc
+        self.rounding_errors[name] = edit.rounding_error
+
+
+def write_checkpoint(
+    base: Checkpoint, edit_dtypes: dict[str, str], out: str | Path
+) -> CheckpointWriter:
+    """Start writing `base` to `out`, with the tensors of `edit_dtypes` left for edits.
+
+    `edit_dtypes` maps each tensor to be edited to the dtype its edit is
+    stored in. The header is written first, since it needs only shapes and
+    dtypes; every other tensor is then copied byte-exact from one open
+    handle on the base file, in chunks of at most COPY_CHUNK_BYTES, and the
+    file is sized to its final length. The edited tensors' byte ranges read
+    as zeros until the returned writer fills them (`write_edit`), so edits
+    can be written one at a time as they are encoded.
 
     Payload keeps the base file's byte order, so an edit-free write
     reproduces the payload bytes exactly; the header is re-emitted with
-    names sorted. Unedited tensors are copied one at a time from one open
-    handle on the base file, so the writer holds no more than the encoded
-    edits and the largest unedited tensor's stored bytes. `out` may not be
-    the base file itself, which the copy still reads from.
+    names sorted. `out` may not be the base file itself, which the copy
+    still reads from.
     """
-    if os.path.exists(out) and os.path.samefile(out, base.path):
+    out = Path(out)
+    if out.exists() and os.path.samefile(out, base.path):
         raise ValidationError(f"cannot write checkpoint over its own base {base.path}")
-    for name, edit in edits.items():
-        info = base.index.get(name)
-        if info is None or len(edit.data) != int(np.prod(info.shape)) * DTYPE_SIZES[edit.dtype]:
-            raise ValidationError(f"encoded edit for {name!r} does not fit a tensor of {base.path}")
+    for name, dtype in edit_dtypes.items():
+        if name not in base.index or dtype not in DTYPE_SIZES:
+            raise ValidationError(
+                f"an edit of {name!r} as {dtype} does not fit a tensor of {base.path}"
+            )
 
     # preserve the base payload layout order
     layout = sorted(base.index, key=lambda n: (base.index[n].offsets[0], n))
@@ -268,8 +309,9 @@ def write_checkpoint(base: Checkpoint, edits: dict[str, EncodedEdit], out: str |
     cursor = 0
     for name in layout:
         info = base.index[name]
-        if name in edits:
-            dtype, size = edits[name].dtype, len(edits[name].data)
+        if name in edit_dtypes:
+            dtype = edit_dtypes[name]
+            size = int(np.prod(info.shape)) * DTYPE_SIZES[dtype]
         else:
             dtype, size = info.dtype, info.nbytes
         entries[name] = {
@@ -285,6 +327,11 @@ def write_checkpoint(base: Checkpoint, edits: dict[str, EncodedEdit], out: str |
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     pad = (-(HEADER_LEN_BYTES + len(header_bytes))) % 8
     header_bytes += b" " * pad
+    data_start = HEADER_LEN_BYTES + len(header_bytes)
+    slots = {
+        name: (dtype, *(data_start + offset for offset in entries[name]["data_offsets"]))
+        for name, dtype in edit_dtypes.items()
+    }
 
     with open(base.path, "rb") as src:
         try:
@@ -292,14 +339,17 @@ def write_checkpoint(base: Checkpoint, edits: dict[str, EncodedEdit], out: str |
                 fh.write(struct.pack("<Q", len(header_bytes)))
                 fh.write(header_bytes)
                 for name in layout:
-                    if name in edits:
-                        fh.write(edits[name].data)
+                    if name in slots:
+                        fh.seek(slots[name][2])  # left for the writer
                         continue
                     start, end = base.index[name].offsets
                     src.seek(base.data_start + start)
-                    fh.write(src.read(end - start))
+                    for offset in range(start, end, COPY_CHUNK_BYTES):
+                        fh.write(src.read(min(COPY_CHUNK_BYTES, end - offset)))
+                fh.truncate(data_start + cursor)
         except OSError as exc:
             raise WriteError(f"cannot write checkpoint to {out}: {exc}") from exc
+    return CheckpointWriter(path=out, slots=slots)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,12 @@ def spectral_matrix(rng: np.random.Generator, m: int, n: int, sigmas) -> np.ndar
     return (q1[:, :r] * sigmas) @ q2[:, :r].T
 
 
+def reconstruct(t, keep=None) -> np.ndarray:
+    """Sum of sigma_i * u_i v_i^T of an SvdTriple over the rank indices `keep` (all by default)."""
+    idx = np.arange(t.rank) if keep is None else np.asarray(keep, dtype=np.int64)
+    return (t.u[:, idx] * t.sigma[idx]) @ t.v[:, idx].T
+
+
 def decoder_layer_shapes(layer: int, dim: int = 12, kv_dim: int = 8) -> dict:
     base = f"model.layers.{layer}."
     return {

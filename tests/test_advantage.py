@@ -1,4 +1,4 @@
-"""GAE, the clipped objective, distribution statistics, multimodality, verdicts."""
+"""GAE, distribution statistics, multimodality, verdicts."""
 
 import json
 
@@ -16,14 +16,13 @@ from svdsurgery.advantage import (
     TrajectoryTrace,
     gae,
     histogram_table,
-    ppo_objective,
     read_rollout_log,
-    silverman_test,
     summarize,
     verdict,
     _count_modes,
     _kde,
     _kde_on_grid,
+    _silverman,
 )
 from svdsurgery.errors import NumericalError, ValidationError
 
@@ -39,17 +38,6 @@ def gae_double_sum(rewards, values, gamma, lam):
     return np.array(
         [sum((gamma * lam) ** l * delta[t + l] for l in range(T - t)) for t in range(T)]
     )
-
-
-def ppo_piecewise(ratio, adv, eps):
-    """Region-by-region closed form of the clipped surrogate."""
-    if ratio < 1.0 - eps:
-        clipped = 1.0 - eps
-    elif ratio > 1.0 + eps:
-        clipped = 1.0 + eps
-    else:
-        clipped = ratio
-    return min(ratio * adv, clipped * adv)
 
 
 def random_trace(rng, T):
@@ -110,52 +98,6 @@ def test_trace_validation():
         GaeParams(gamma=1.5, lam=0.5)
     with pytest.raises(ValidationError, match="lambda"):
         GaeParams(gamma=0.5, lam=-0.1)
-
-
-# ---------------------------------------------------------------------------
-# clipped objective
-
-
-def test_ppo_ratio_one_returns_advantage():
-    for adv in (-3.0, 0.0, 2.5):
-        for eps in (0.05, 0.2, 0.5):
-            assert ppo_objective(1.0, adv, eps) == adv
-
-
-def test_ppo_hand_values():
-    assert ppo_objective(1.5, 2.0, 0.2) == pytest.approx(2.4)
-    assert ppo_objective(0.5, -1.0, 0.2) == pytest.approx(-0.8)
-
-
-def test_ppo_matches_piecewise_on_region_grid():
-    ratios = [0.5, 0.7999, 0.8, 1.0, 1.2, 1.2001, 2.0]
-    advs = [-2.0, -0.5, 0.0, 0.5, 2.0]
-    epsilons = [0.1, 0.2, 0.3]
-    for eps in epsilons:
-        for ratio in ratios:
-            for adv in advs:
-                assert ppo_objective(ratio, adv, eps) == ppo_piecewise(ratio, adv, eps)
-
-
-def test_ppo_rejects_bad_inputs():
-    with pytest.raises(ValidationError, match="positive"):
-        ppo_objective(0.0, 1.0, 0.2)
-    with pytest.raises(ValidationError, match="positive"):
-        ppo_objective(-1.0, 1.0, 0.2)
-    with pytest.raises(ValidationError, match="epsilon"):
-        ppo_objective(1.0, 1.0, 0.0)
-
-
-@given(
-    ratio=st.floats(min_value=1e-3, max_value=10.0),
-    eps=st.floats(min_value=0.01, max_value=0.99),
-    a1=st.floats(min_value=-10.0, max_value=10.0),
-    a2=st.floats(min_value=-10.0, max_value=10.0),
-)
-@settings(max_examples=100, deadline=None)
-def test_ppo_monotone_in_advantage(ratio, eps, a1, a2):
-    lo, hi = sorted((a1, a2))
-    assert ppo_objective(ratio, lo, eps) <= ppo_objective(ratio, hi, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -249,43 +191,52 @@ def test_normal_cdf_matches_scipy_ndtr():
 # multimodality
 
 
+def p_value(x, mode_budget=1, bootstrap=500, seed=0):
+    """The bootstrap p-value that `summarize` reports as `silverman_p`."""
+    p, _ = _silverman(np.asarray(x, dtype=np.float64), mode_budget, bootstrap, seed)
+    return p
+
+
 def test_silverman_bimodal_mixture_rejected():
     rng = np.random.default_rng(200)
     x = np.concatenate([rng.normal(-3.0, 1.0, 1000), rng.normal(3.0, 1.0, 1000)])
-    assert silverman_test(x, bootstrap=200, seed=7) < 0.05
+    assert p_value(x, bootstrap=200, seed=7) < 0.05
 
 
 def test_silverman_gaussian_not_rejected():
     rng = np.random.default_rng(201)
     x = rng.standard_normal(1500)
-    assert silverman_test(x, bootstrap=150, seed=5) > 0.10
+    assert p_value(x, bootstrap=150, seed=5) > 0.10
 
 
 def test_silverman_point_masses():
     x = np.array([0.0] * 120 + [1.0] * 120)
-    assert silverman_test(x, bootstrap=150, seed=1) < 0.05
+    assert p_value(x, bootstrap=150, seed=1) < 0.05
 
 
 def test_silverman_mode_budget_two_accepts_bimodal():
     rng = np.random.default_rng(202)
     x = np.concatenate([rng.normal(-3.0, 1.0, 600), rng.normal(3.0, 1.0, 600)])
-    assert silverman_test(x, mode_budget=2, bootstrap=150, seed=2) > 0.10
+    assert p_value(x, mode_budget=2, bootstrap=150, seed=2) > 0.10
 
 
 def test_silverman_deterministic_and_affine_invariant():
     rng = np.random.default_rng(203)
     x = np.concatenate([rng.normal(-1.5, 1.0, 400), rng.normal(1.5, 1.0, 400)])
-    p0 = silverman_test(x, bootstrap=120, seed=9)
-    assert silverman_test(x, bootstrap=120, seed=9) == p0
-    assert silverman_test(2.0 * x, bootstrap=120, seed=9) == pytest.approx(p0, abs=1e-12)
-    assert silverman_test(x + 7.25, bootstrap=120, seed=9) == pytest.approx(p0, abs=1e-12)
+    p0 = p_value(x, bootstrap=120, seed=9)
+    assert p_value(x, bootstrap=120, seed=9) == p0
+    assert p_value(2.0 * x, bootstrap=120, seed=9) == pytest.approx(p0, abs=1e-12)
+    assert p_value(x + 7.25, bootstrap=120, seed=9) == pytest.approx(p0, abs=1e-12)
 
 
 def test_silverman_input_validation():
-    with pytest.raises(ValidationError, match="at least 50"):
-        silverman_test(np.arange(10), bootstrap=150)
+    # the bootstrap runs inside `summarize`, which checks its sample and settings first
+    with pytest.raises(ValidationError, match="at least 200"):
+        summarize(np.arange(150.0), _cfg(bootstrap=150))
     with pytest.raises(ValidationError, match="bootstrap"):
-        silverman_test(np.random.default_rng(0).standard_normal(100), bootstrap=10)
+        _cfg(bootstrap=0)
+    with pytest.raises(ValidationError, match="mode budget"):
+        _cfg(mode_budget=0)
 
 
 def test_critical_bandwidth_that_never_converges_raises():
@@ -293,7 +244,7 @@ def test_critical_bandwidth_that_never_converges_raises():
     # bisection halves h towards 0 without ever bracketing it
     x = np.append(np.random.default_rng(220).standard_normal(300), 1e4)
     with pytest.raises(NumericalError, match="converge"):
-        silverman_test(x, mode_budget=2, bootstrap=100)
+        p_value(x, mode_budget=2, bootstrap=100)
 
 
 def modes_by_runs(values):

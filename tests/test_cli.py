@@ -61,6 +61,9 @@ def commands(pair, rollouts):
                            "--ranks", "top:3"],
         "restore-vectors": ["restore", "--mode", "vectors", "--host", host, "--donor", donor,
                             "--layers", "last:1", "--ranks", "range:1:4", "--kinds", "q,mlp_down"],
+        # selects no ranks, so every tensor is copied; the host matrices are still checked
+        "restore-copy": ["restore", "--mode", "values", "--host", host, "--donor", donor,
+                         "--ranks", "top:0"],
         "penalty": ["penalty", "--ref", host, "--current", donor, "--rank", "3"],
         "adv-stats": ["adv-stats", "--input", str(rollouts), "--bootstrap", "20"],
     }
@@ -117,7 +120,8 @@ def test_bad_selector_exits_2_and_writes_nothing(argv, pair, tmp_path):
     assert files(out) == {}
 
 
-@pytest.mark.parametrize("name", ["svd-diff", "angles", "restore-values", "penalty"])
+@pytest.mark.parametrize("name", ["svd-diff", "angles", "restore-values", "restore-copy",
+                                  "penalty"])
 def test_nan_in_checkpoint_exits_3_and_writes_nothing(name, pair, rollouts, tmp_path):
     arrays = synth_decoder_arrays(11)
     arrays["model.layers.0.self_attn.q_proj.weight"][2, 3] = np.nan
@@ -712,6 +716,32 @@ def test_sweep_holds_edits_narrowed_not_in_float64(tmp_path):
     reports = [json.loads(p.read_text()) for p in (tmp_path / "out").glob("*.report.json")]
     assert sum(rep["edited_matrices"] for rep in reports) == 3 * layers * 6
     assert peak < edited_f64_bytes
+
+
+def test_sweep_peak_memory_does_not_grow_with_layers(tmp_path):
+    # the same vectors sweep on 1 and 4 layers: a run that kept each layer's
+    # edits until the end would peak 3 layers x 2 grid points x 0.6 MB higher
+    dim, kv_dim = 256, 64
+    peaks = []
+    for layers in (1, 4):
+        root = tmp_path / f"layers-{layers}"
+        root.mkdir()
+        for tag, seed in (("host", 11), ("donor", 23)):
+            arrays = synth_decoder_arrays(seed, layers=layers, dim=dim, kv_dim=kv_dim)
+            bits = {name: ("BF16", (arr.astype(np.float32).view(np.uint32) >> 16)
+                           .astype(np.uint16)) for name, arr in arrays.items()}
+            (root / f"{tag}.safetensors").write_bytes(pack_container(bits))
+        pair = (root / "host.safetensors", root / "donor.safetensors")
+        sweep = {"ranks": ["top:4", "top:16"]}
+        manifest = restore_manifest(pair, root / "out", mode="vectors", sweep=sweep)
+        tracemalloc.start()
+        try:
+            assert run_manifest(root, manifest) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------

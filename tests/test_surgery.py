@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from svdsurgery.errors import ValidationError
-from svdsurgery.spectral import matrix_angles, principal_angles, reconstruct, svd
+from svdsurgery import surgery
+from svdsurgery.errors import NumericalError, ValidationError
+from svdsurgery.spectral import matrix_angles, principal_angles, svd
 from svdsurgery.surgery import (
     LayerSelector,
     RankSelector,
@@ -15,7 +16,7 @@ from svdsurgery.surgery import (
 )
 from svdsurgery.tensorstore import load_matrix, load_profile, open_checkpoint
 
-from conftest import pack_container, spectral_matrix
+from conftest import pack_container, reconstruct, spectral_matrix
 
 
 def rotation2(theta_deg: float) -> np.ndarray:
@@ -348,10 +349,35 @@ def test_run_surgery_needs_one_output_per_grid_point(synth_pair, tmp_path):
     assert not any(out.exists() for out in outs)
 
 
-def test_run_surgery_refuses_to_write_over_its_host(synth_pair):
+def test_run_surgery_refuses_to_write_over_its_host(synth_pair, tmp_path):
     host_path, donor_path = synth_pair(layers=1)
-    before = host_path.read_bytes()
-    with pytest.raises(ValidationError, match="its own base"):
-        run_surgery(_make_plan(host_path, donor_path, ranks="top:1"), [host_path])
-    assert host_path.read_bytes() == before
+    before = {path: path.read_bytes() for path in (host_path, donor_path)}
+    first = tmp_path / "first.safetensors"
+    plan = _make_plan(host_path, donor_path, grid=[("all", "top:1"), ("all", "top:2")])
+    for source, role in ((host_path, "its own base"), (donor_path, "its donor")):
+        with pytest.raises(ValidationError, match=role):
+            run_surgery(plan, [first, source])
+        # refused before any output is opened
+        assert not first.exists()
+        assert {path: path.read_bytes() for path in before} == before
+
+
+def test_run_surgery_that_fails_partway_removes_its_outputs(synth_pair, tmp_path, monkeypatch):
+    host_path, donor_path = synth_pair(layers=1)
+    plan = _make_plan(host_path, donor_path, grid=[("all", "top:1"), ("all", "top:2")])
+    outs = [tmp_path / "a.safetensors", tmp_path / "b.safetensors"]
+    calls = []
+
+    def svd_failing_on_the_third_target(w):
+        calls.append(w.shape)
+        if len(calls) > 4:  # host and donor of each target
+            raise NumericalError("SVD did not converge")
+        return svd(w)
+
+    monkeypatch.setattr(surgery, "svd", svd_failing_on_the_third_target)
+    with pytest.raises(NumericalError, match="did not converge"):
+        run_surgery(plan, outs)
+    assert len(calls) == 5
+    assert not any(out.exists() for out in outs)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["donor.safetensors", "host.safetensors"]
 

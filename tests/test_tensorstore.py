@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svdsurgery import tensorstore
 from svdsurgery.errors import NumericalError, ValidationError
 from svdsurgery.tensorstore import (
     BUILTIN_PROFILES,
@@ -238,6 +239,14 @@ def test_decode_encode_within_unit_roundoff(dtype, x):
 # writing
 
 
+def write_edited(base, edits, out):
+    """Write `base` to `out` with the encoded `edits` ({name: EncodedEdit}) in place."""
+    writer = write_checkpoint(base, {name: edit.dtype for name, edit in edits.items()}, out)
+    for name, edit in edits.items():
+        writer.write_edit(name, edit)
+    return writer
+
+
 def test_write_no_edits_payload_identical(write_container, tmp_path):
     rng = np.random.default_rng(3)
     tensors = {
@@ -279,7 +288,7 @@ def test_write_f32_exact_edit_roundtrips(write_container, tmp_path):
     edit = np.array([[0.5, -2.0], [4.0, 128.0]])  # exactly representable in F32
     out = tmp_path / "edited.safetensors"
     encoded = encode_edit(ckpt, "w", edit)
-    write_checkpoint(ckpt, {"w": encoded}, out)
+    write_edited(ckpt, {"w": encoded}, out)
     assert encoded.rounding_error == 0.0
     np.testing.assert_array_equal(load_matrix(open_checkpoint(out), "w"), edit)
 
@@ -291,7 +300,7 @@ def test_write_bf16_edit_rounds_to_nearest_even(write_container, tmp_path):
     edit = rng.standard_normal((3, 5)) * 2.5
     out = tmp_path / "edited.safetensors"
     encoded = encode_edit(ckpt, "w", edit)
-    write_checkpoint(ckpt, {"w": encoded}, out)
+    write_edited(ckpt, {"w": encoded}, out)
     got = load_matrix(open_checkpoint(out), "w")
     np.testing.assert_array_equal(got, np.vectorize(bf16_oracle)(edit))
     assert encoded.rounding_error == pytest.approx(np.max(np.abs(got - edit)))
@@ -302,7 +311,7 @@ def test_write_force_f32(write_container, tmp_path):
     ckpt = open_checkpoint(path)
     edit = np.full((2, 2), 1.0 + 2.0**-12)  # not representable in BF16
     out = tmp_path / "f32.safetensors"
-    write_checkpoint(ckpt, {"w": encode_edit(ckpt, "w", edit, force_f32=True)}, out)
+    write_edited(ckpt, {"w": encode_edit(ckpt, "w", edit, force_f32=True)}, out)
     reopened = open_checkpoint(out)
     assert reopened.index["w"].dtype == "F32"
     np.testing.assert_array_equal(load_matrix(reopened, "w"), edit)
@@ -330,10 +339,15 @@ def test_write_rejects_an_encoded_edit_that_does_not_fit(write_container, tmp_pa
     ckpt = open_checkpoint(path)
     out = tmp_path / "out.safetensors"
     edit = encode_edit(ckpt, "w", np.ones((2, 2)))
-    for edits in ({"u": edit}, {"nope": edit}):
+    for dtypes in ({"nope": "F32"}, {"w": "I64"}):
         with pytest.raises(ValidationError, match="does not fit"):
-            write_checkpoint(ckpt, edits, out)
+            write_checkpoint(ckpt, dtypes, out)
     assert not out.exists()
+    writer = write_checkpoint(ckpt, {"w": "F32", "u": "F16"}, out)
+    for name in ("u", "nope"):  # a tensor of another size or dtype, and no tensor at all
+        with pytest.raises(ValidationError, match="does not fit"):
+            writer.write_edit(name, edit)
+    assert writer.rounding_errors == {}
 
 
 def test_write_unwritable_path(write_container, tmp_path):
@@ -353,8 +367,50 @@ def test_write_refuses_to_overwrite_its_base(write_container, tmp_path):
     link.symlink_to(path)
     for out in (path, str(path), link):
         with pytest.raises(ValidationError, match="its own base"):
-            write_checkpoint(ckpt, {"w": encode_edit(ckpt, "w", np.zeros((2, 2)))}, out)
+            write_checkpoint(ckpt, {"w": "F32"}, out)
         assert path.read_bytes() == before
+
+
+def test_write_starts_the_file_at_its_final_length_with_unedited_tensors_in_place(
+    write_container, tmp_path
+):
+    rng = np.random.default_rng(13)
+    tensors = {
+        "a": ("F32", rng.standard_normal((3, 4))),
+        "w": ("BF16", rng.integers(0, 2**15, size=(4, 5)).astype(np.uint16)),
+        "z": ("F16", rng.standard_normal((2, 3))),
+    }
+    ckpt = open_checkpoint(write_container(tensors))
+    edit = encode_edit(ckpt, "w", rng.standard_normal((4, 5)), force_f32=True)
+    whole = tmp_path / "whole.safetensors"
+    write_edited(ckpt, {"w": edit}, whole)
+    out = tmp_path / "started.safetensors"
+    writer = write_checkpoint(ckpt, {"w": "F32"}, out)
+    assert out.stat().st_size == whole.stat().st_size
+    started = open_checkpoint(out)
+    assert started.index == open_checkpoint(whole).index
+    for name in ("a", "z"):
+        assert load_raw(started, name) == load_raw(ckpt, name)
+    assert load_raw(started, "w") == bytes(4 * 20)
+    writer.write_edit("w", edit)
+    assert out.read_bytes() == whole.read_bytes()
+    assert writer.rounding_errors == {"w": edit.rounding_error}
+
+
+def test_write_copies_a_tensor_larger_than_one_chunk(write_container, tmp_path, monkeypatch):
+    rng = np.random.default_rng(17)
+    tensors = {
+        "big": ("F32", rng.standard_normal((7, 9))),
+        "w": ("F32", rng.standard_normal((2, 2))),
+        "small": ("F16", rng.standard_normal(3)),
+    }
+    ckpt = open_checkpoint(write_container(tensors))
+    whole = tmp_path / "whole.safetensors"
+    write_checkpoint(ckpt, {}, whole)
+    monkeypatch.setattr(tensorstore, "COPY_CHUNK_BYTES", 5)
+    out = tmp_path / "chunked.safetensors"
+    write_checkpoint(ckpt, {}, out)
+    assert out.read_bytes() == whole.read_bytes()
 
 
 # ---------------------------------------------------------------------------
