@@ -243,11 +243,11 @@ def run_restore(params: dict) -> int:
     donor, host = open_checkpoint(params["donor"]), open_checkpoint(params["host"])
     profile = load_profile(params["profile"])
     sweep = params.get("sweep") or {}
-    points = [
+    points = list(dict.fromkeys(  # a repeated selector names the same output
         (layers, ranks)
         for layers in sweep.get("layers") or [params["layers"]]
         for ranks in sweep.get("ranks") or [params["ranks"]]
-    ]
+    ))
     grid = [(LayerSelector.parse(layers), RankSelector.parse(ranks)) for layers, ranks in points]
     plan = SurgeryPlan(
         mode=params["mode"], donor=donor, host=host, profile=profile, grid=grid,

@@ -40,12 +40,14 @@ class SvdTriple:
 
     In each column of `u` the entry of largest magnitude is positive (ties
     broken by lowest row index); the matching column of `v` is flipped
-    jointly so the reconstruction is unchanged.
+    jointly so the reconstruction is unchanged. A triple may hold only the
+    leading columns of `u` and `v` (k <= r of them) while `sigma` stays
+    whole; `rank` and `shape` read the same either way.
     """
 
-    u: np.ndarray  # (m, r)
+    u: np.ndarray  # (m, r), or (m, k) when truncated
     sigma: np.ndarray  # (r,) descending, non-negative
-    v: np.ndarray  # (n, r)
+    v: np.ndarray  # (n, r), or (n, k) when truncated
 
     @property
     def rank(self) -> int:

@@ -205,7 +205,8 @@ def mixed_matrix(
 
     values mode: host bases with donor values on the selected ranks.
     vectors mode: host values with donor u/v columns on the selected ranks;
-    the mixed column sets are used as-is.
+    the mixed column sets are used as-is. The donor triple may hold only
+    leading columns; a selected rank beyond them is a ValidationError.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
@@ -214,6 +215,9 @@ def mixed_matrix(
     ranks = np.asarray(ranks, dtype=np.int64).reshape(-1)
     if ranks.size and (ranks.min() < 0 or ranks.max() >= host_t.rank):
         raise ValidationError(f"rank indices out of bounds for rank {host_t.rank}")
+    held = min(donor_t.u.shape[1], donor_t.v.shape[1])
+    if mode == "vectors" and ranks.size and ranks.max() >= held:
+        raise ValidationError(f"rank {ranks.max()} is beyond the {held} donor columns held")
     if mode == "values":
         sigma = host_t.sigma.copy()
         sigma[ranks] = donor_t.sigma[ranks]
@@ -311,11 +315,14 @@ def _splice_target(
     """The record of one target for each (rank selector, writer) grid point.
 
     Host and donor are decomposed once, and only when some selector picks
-    ranks of this matrix. Neither float64 matrix is held across the other's
-    decomposition: each is decoded again for the record's distances. Each
-    mixed matrix is encoded to its stored dtype and written as soon as its
-    record is taken, so no float64 result or encoded edit outlives its grid
-    point.
+    ranks of this matrix. The donor goes first, and only what the mixing
+    reads of it is kept while the host decomposes: its whole `sigma`, plus
+    copies of its leading `u` and `v` columns up to the highest rank any
+    selector picks (none in values mode). Neither float64 matrix is held
+    across the other's decomposition: each is decoded again for the
+    record's distances. Each mixed matrix is encoded to its stored dtype
+    and written as soon as its record is taken, so no float64 result or
+    encoded edit outlives its grid point.
     """
     key, host_name, donor_name = target
     thin_rank = min(plan.host.index[host_name].shape)
@@ -323,8 +330,12 @@ def _splice_target(
     if not any(ranks.size for ranks in rank_sets):
         load_matrix(plan.host, host_name)  # a non-finite host fails as it would if edited
         return [MatrixRecord(key=key, tensor=host_name, status="copied") for _ in points]
-    host_t = svd(load_matrix(plan.host, host_name))
     donor_t = svd(load_matrix(plan.donor, donor_name))
+    keep = 0 if plan.mode == "values" else 1 + max(int(r.max()) for r in rank_sets if r.size)
+    # copies, not views: a view would keep the whole `u` and `v` alive
+    donor_t = SvdTriple(u=donor_t.u[:, :keep].copy(), sigma=donor_t.sigma,
+                        v=donor_t.v[:, :keep].copy())
+    host_t = svd(load_matrix(plan.host, host_name))
     records = []
     for ranks, (_, writer) in zip(rank_sets, points):
         if ranks.size == 0:
@@ -334,10 +345,10 @@ def _splice_target(
             _aligned_donor(host_t, donor_t, ranks) if plan.align == "procrustes" else donor_t
         )
         w_out = mixed_matrix(host_t, point_donor_t, plan.mode, ranks)
-        w_host = load_matrix(plan.host, host_name)
-        fro_vs_host = float(np.linalg.norm(w_out - w_host))
-        max_entry_change = float(np.max(np.abs(w_out - w_host)))
-        del w_host
+        diff = w_out - load_matrix(plan.host, host_name)
+        fro_vs_host = float(np.linalg.norm(diff))
+        max_entry_change = float(np.max(np.abs(diff, out=diff)))
+        del diff
         fro_vs_donor = float(np.linalg.norm(w_out - load_matrix(plan.donor, donor_name)))
         records.append(MatrixRecord(
             key=key,
@@ -369,18 +380,22 @@ def run_surgery(
     their dtypes follow from the header shapes and the rank selectors, and
     every tensor that grid point leaves unedited, copied byte-exact. The run
     then walks every matrix that any grid point targets once, in key order,
-    decomposes it once and writes each grid point's mixed_matrix output into
+    decomposes it once, donor first, keeping only the donor columns that the
+    mixing reads, and writes each grid point's mixed_matrix output into
     that grid point's file as soon as it is encoded (see `_splice_target`).
     A selection that resolves to no ranks leaves the tensor untouched, and a
     matrix no grid point selects ranks of gets no SVD. So the run holds one
     matrix's working set at a time, however many layers and grid points the
     plan has.
 
-    An output that is the host or the donor file is refused before any
-    output is opened. If the run fails, every output it started is removed.
+    An output that is the host or the donor file, or that two grid points
+    share, is refused before any output is opened. If the run fails, every
+    output it started is removed.
     """
     if len(plan.grid) != len(outs):
         raise ValidationError(f"{len(plan.grid)} grid points but {len(outs)} output paths")
+    if len({os.path.realpath(out) for out in outs}) != len(outs):
+        raise ValidationError("two grid points name the same output path")
     for out in outs:
         for role, source in (("own base", plan.host), ("donor", plan.donor)):
             if os.path.exists(out) and os.path.samefile(out, source.path):

@@ -243,7 +243,8 @@ def encode_edit(
     with np.errstate(over="ignore"):  # an overflow is raised below, naming the tensor
         data = encode_values(arr, dtype)
     stored = decode_values(data, dtype).reshape(shape)
-    err = float(np.max(np.abs(stored - arr))) if arr.size else 0.0
+    stored -= arr
+    err = float(np.max(np.abs(stored, out=stored))) if arr.size else 0.0
     if not np.isfinite(err):
         raise NumericalError(f"edit for {name!r} overflows {dtype}")
     return EncodedEdit(dtype=dtype, data=data, rounding_error=err)

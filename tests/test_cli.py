@@ -695,6 +695,18 @@ def test_each_sweep_grid_point_matches_the_same_selection_run_alone(flags, sweep
     assert alone == swept
 
 
+def test_sweep_with_a_repeated_selector_writes_each_output_once(pair, tmp_path):
+    out = tmp_path / "out"
+    sweep = {"ranks": ["top:16", "top:16"]}
+    assert run_manifest(tmp_path, restore_manifest(pair, out, mode="vectors", sweep=sweep)) == 0
+    swept = files(out)
+    shutil.rmtree(out)
+    manifest = restore_manifest(pair, out, mode="vectors", ranks="top:16")
+    assert run_manifest(tmp_path, manifest) == 0
+    assert len(swept) == 3
+    assert swept == files(out)
+
+
 def test_sweep_holds_edits_narrowed_not_in_float64(tmp_path):
     dim, kv_dim, layers = 256, 64, 3
     for tag, seed in (("host", 11), ("donor", 23)):

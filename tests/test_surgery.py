@@ -1,11 +1,13 @@
 """Selection resolution and spectral splicing across checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from svdsurgery import surgery
 from svdsurgery.errors import NumericalError, ValidationError
-from svdsurgery.spectral import matrix_angles, principal_angles, svd
+from svdsurgery.spectral import SvdTriple, matrix_angles, principal_angles, svd
 from svdsurgery.surgery import (
     LayerSelector,
     RankSelector,
@@ -141,6 +143,23 @@ def test_mixed_matrix_errors():
         mixed_matrix(a, a, "values", np.array([9]))
     with pytest.raises(ValidationError, match="mode"):
         mixed_matrix(a, a, "middle", np.array([0]))
+
+
+def test_mixed_matrix_reads_only_the_donor_columns_a_truncated_triple_holds():
+    rng = np.random.default_rng(9)
+    host = svd(spectral_matrix(rng, 7, 5, np.linspace(8.0, 1.0, 5)))
+    donor = svd(spectral_matrix(rng, 7, 5, np.linspace(6.0, 2.0, 5)))
+    leading = SvdTriple(u=donor.u[:, :2].copy(), sigma=donor.sigma, v=donor.v[:, :2].copy())
+    none = SvdTriple(u=donor.u[:, :0].copy(), sigma=donor.sigma, v=donor.v[:, :0].copy())
+    assert (leading.rank, leading.shape) == (donor.rank, donor.shape)
+    top2 = np.array([0, 1])
+    np.testing.assert_array_equal(mixed_matrix(host, leading, "vectors", top2),
+                                  mixed_matrix(host, donor, "vectors", top2))
+    np.testing.assert_array_equal(mixed_matrix(host, none, "values", np.arange(5)),
+                                  mixed_matrix(host, donor, "values", np.arange(5)))
+    for triple, ranks in ((leading, np.array([1, 2])), (none, np.array([0]))):
+        with pytest.raises(ValidationError, match="donor columns held"):
+            mixed_matrix(host, triple, "vectors", ranks)
 
 
 def test_aligned_donor_recovers_host_basis():
@@ -347,6 +366,40 @@ def test_run_surgery_needs_one_output_per_grid_point(synth_pair, tmp_path):
     with pytest.raises(ValidationError, match="output paths"):
         run_surgery(plan, outs[:1])
     assert not any(out.exists() for out in outs)
+
+
+def test_run_surgery_refuses_one_output_for_two_grid_points(synth_pair, tmp_path):
+    host_path, donor_path = synth_pair(layers=1)
+    plan = _make_plan(host_path, donor_path, grid=[("all", "top:1"), ("all", "top:0")])
+    out = tmp_path / "out.safetensors"
+    with pytest.raises(ValidationError, match="same output path"):
+        run_surgery(plan, [out, tmp_path / "." / out.name], force_f32=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["donor.safetensors", "host.safetensors"]
+
+
+def test_run_surgery_holds_no_whole_donor_triple_while_the_host_decomposes(tmp_path):
+    # one tall 600x200 target. Holding the donor's whole triple through the
+    # host's decomposition and the mixing peaked at about 7.2 matrices; the
+    # donor's leading columns alone stay more than one host `u` below that
+    m, n = 600, 200
+    name = "model.layers.0.mlp.up_proj.weight"
+    rng = np.random.default_rng(5)
+    paths = []
+    for tag, sigmas in (("host", np.linspace(10.0, 1.0, n)), ("donor", np.linspace(8.0, 2.0, n))):
+        path = tmp_path / f"{tag}.safetensors"
+        path.write_bytes(pack_container({name: ("F32", spectral_matrix(rng, m, n, sigmas))}))
+        paths.append(path)
+    matrix_bytes = m * n * 8
+    for mode in ("vectors", "values"):
+        plan = _make_plan(*paths, mode=mode, ranks="top:2")
+        tracemalloc.start()
+        try:
+            [report] = run_surgery(plan, [tmp_path / f"{mode}.safetensors"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.edited_count == 1
+        assert peak < 5.5 * matrix_bytes, (mode, peak / matrix_bytes)
 
 
 def test_run_surgery_refuses_to_write_over_its_host(synth_pair, tmp_path):
