@@ -155,9 +155,12 @@ def _run_compare(params: dict, command: str, stem: str, columns: tuple, parts, t
     """Shared body of svd-diff and angles.
 
     `columns` holds the part, detail and summary column names. For each
-    matrix pair, `parts(w_a, w_b)` lists (part, detail rows, summary values),
-    one per detail file: a single empty part for svd-diff, one per side,
-    holding the side, for angles. `totals(matrices)` adds report fields.
+    matrix pair, `parts(load_a, load_b)` lists (part, detail rows, summary
+    values), one per detail file: a single empty part for svd-diff, one per
+    side, holding the side, for angles. `load_a` and `load_b` take no
+    arguments and decode the pair's matrix from each checkpoint, so `parts`
+    decides when each matrix is loaded and how long it is held.
+    `totals(matrices)` adds report fields.
     """
     part_cols, detail_cols, summary_cols = columns
     ckpt_a, ckpt_b = open_checkpoint(params["a"]), open_checkpoint(params["b"])
@@ -169,8 +172,9 @@ def _run_compare(params: dict, command: str, stem: str, columns: tuple, parts, t
     with _staged_out(params["out"]) as stage:
         for key, name_a, name_b in pairs:
             slug = _key_slug(key)
-            pair_parts = parts(load_matrix(ckpt_a, name_a), load_matrix(ckpt_b, name_b))
-            for part, rows, values in pair_parts:
+            loaders = (functools.partial(load_matrix, ckpt_a, name_a),
+                       functools.partial(load_matrix, ckpt_b, name_b))
+            for part, rows, values in parts(*loaders):
                 write_csv(stage / ("__".join((stem, slug, *part)) + ".csv"), detail_cols, rows)
                 summary_rows.append((key, name_a, *part, *values))
                 plot_rows.extend((slug, *part, *row) for row in rows)
@@ -191,8 +195,8 @@ def _run_compare(params: dict, command: str, stem: str, columns: tuple, parts, t
     return 0
 
 
-def _drift_parts(w_a, w_b) -> list[tuple]:
-    spec = delta_sigma(w_a, w_b)
+def _drift_parts(load_a, load_b) -> list[tuple]:
+    spec = delta_sigma(load_a(), load_b())
     rows = [
         (i, float(spec.sigma_a[i]), float(spec.sigma_b[i]), float(spec.delta[i]))
         for i in range(spec.delta.shape[0])
@@ -200,9 +204,9 @@ def _drift_parts(w_a, w_b) -> list[tuple]:
     return [((), rows, (spec.delta.shape[0], spec.max_abs, spec.mean, spec.rel_drift))]
 
 
-def _angle_parts(w_a, w_b) -> list[tuple]:
+def _angle_parts(load_a, load_b) -> list[tuple]:
     parts = []
-    for spec in matrix_angles(w_a, w_b):
+    for spec in matrix_angles(load_a, load_b):
         rows = [
             (i, float(spec.cosines[i]), float(spec.angles_rad[i]), float(spec.angles_deg[i]))
             for i in range(spec.rank)

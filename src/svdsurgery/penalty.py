@@ -54,9 +54,10 @@ def fit_reference(w_ref: np.ndarray, rank: int) -> PenaltyRef:
             "the top-rank subspace is ill-defined",
             stacklevel=2,
         )
+    # copies, not views: a view would keep the whole `u` and `v` alive
     return PenaltyRef(
-        u=t.u[:, :rank],
-        v=t.v[:, :rank],
+        u=t.u[:, :rank].copy(order="K"),
+        v=t.v[:, :rank].copy(order="K"),
         rank=rank,
         boundary_gap=gap,
         degenerate=degenerate,

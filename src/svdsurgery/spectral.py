@@ -13,6 +13,7 @@ DEGENERATE_GAP_RATIO            1e-6     gap below this fraction of sigma_1 flag
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +59,17 @@ class SvdTriple:
         return (self.u.shape[0], self.v.shape[0])
 
 
-def sign_canonicalize(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flip column pairs so each u-column's largest-magnitude entry is positive."""
+def _canonical_signs(u: np.ndarray) -> np.ndarray:
+    """Per column of `u`, the sign (+1 or -1) that makes its largest-magnitude entry positive."""
     pivot = np.argmax(np.abs(u), axis=0)  # argmax returns lowest index on ties
     signs = np.sign(u[pivot, np.arange(u.shape[1])])
     signs[signs == 0] = 1.0
+    return signs
+
+
+def sign_canonicalize(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flip column pairs so each u-column's largest-magnitude entry is positive."""
+    signs = _canonical_signs(u)
     return u * signs, v * signs
 
 
@@ -78,9 +85,18 @@ def _lapack_svd(arr: np.ndarray, compute_uv: bool):
 
 
 def svd(w: np.ndarray) -> SvdTriple:
-    """Thin SVD of `w`, canonicalized; deterministic for identical input."""
+    """Thin SVD of `w`, canonicalized; deterministic for identical input.
+
+    The column signs are flipped in place on LAPACK's own `u` and on the
+    transpose of its `vt`, so no second copy of either factor is made:
+    `u` is C-ordered and `v` F-ordered, and every entry equals
+    `sign_canonicalize` of the same factors, since a flip by -1 is exact.
+    """
     u, s, vt = _lapack_svd(ensure_matrix(w), compute_uv=True)
-    u, v = sign_canonicalize(u, vt.T)
+    v = vt.T
+    signs = _canonical_signs(u)
+    u *= signs
+    v *= signs
     return SvdTriple(u=u, sigma=s, v=v)
 
 
@@ -198,7 +214,8 @@ def principal_angles(ua: np.ndarray, ub: np.ndarray, side: str = "left") -> Angl
 
     small = cosines**2 >= 0.5
     if np.any(small):
-        resid = ub - ua @ gram
+        resid = ua @ gram
+        np.subtract(ub, resid, out=resid)  # (I - ua ua^T) ub without a second m x k temporary
         sines = np.clip(_lapack_svd(resid, compute_uv=False), -1.0, 1.0)[::-1]
         angles[small] = np.arcsin(sines[small])
 
@@ -209,25 +226,48 @@ def _whole_space(side: str, dim: int) -> AngleSpectrum:
     return AngleSpectrum(cosines=np.ones(dim), angles_rad=np.zeros(dim), side=side, rank=dim)
 
 
-def matrix_angles(a: np.ndarray, b: np.ndarray) -> tuple[AngleSpectrum, AngleSpectrum]:
+def _partial_basis(
+    load: Callable[[], np.ndarray], what: str, shape: tuple[int, int] | None = None
+) -> tuple[tuple[int, int], np.ndarray | None]:
+    """Load and check one matrix; return its shape and its basis that is not whole-space.
+
+    The basis is the left one (`u`) of a tall matrix, the right one (`v`)
+    of a wide matrix, and None for a square matrix, which is not
+    decomposed. Nothing else of the matrix or its decomposition outlives
+    the call.
+    """
+    w = ensure_matrix(load(), what)
+    if shape is not None and w.shape != shape:
+        raise ValidationError(f"shape mismatch: {shape} vs {w.shape}")
+    m, n = w.shape
+    if m == n:
+        return w.shape, None
+    t = svd(w)
+    return w.shape, (t.u if m > n else t.v)
+
+
+def matrix_angles(
+    load_a: Callable[[], np.ndarray], load_b: Callable[[], np.ndarray]
+) -> tuple[AngleSpectrum, AngleSpectrum]:
     """Left and right singular-subspace angles between two same-shape (m, n) matrices.
 
+    `load_a` and `load_b` take no arguments and return the matrices; they
+    are called one after the other, so only one matrix is held at a time.
     The thin left basis spans all of R^m when m <= n, and the right basis
     all of R^n when n <= m; such a side's angles are exactly zero
-    (cosines one), so it is filled in without a decomposition. Only a
-    rectangular pair is decomposed, for the angles of its other side.
+    (cosines one), so it is filled in without a decomposition. A square
+    pair is loaded and checked but not decomposed. A rectangular pair is
+    decomposed for the angles of its other side: A first, keeping only
+    that side's basis, then B.
     """
-    a = ensure_matrix(a, "A")
-    b = ensure_matrix(b, "B")
-    if a.shape != b.shape:
-        raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    m, n = a.shape
+    shape, basis_a = _partial_basis(load_a, "A")
+    _, basis_b = _partial_basis(load_b, "B", shape)
+    m, n = shape
     if m == n:
         return _whole_space("left", m), _whole_space("right", n)
-    ta, tb = svd(a), svd(b)
     if m < n:
-        return _whole_space("left", m), principal_angles(ta.v, tb.v, side="right")
-    return principal_angles(ta.u, tb.u, side="left"), _whole_space("right", n)
+        return _whole_space("left", m), principal_angles(basis_a, basis_b, side="right")
+    return principal_angles(basis_a, basis_b, side="left"), _whole_space("right", n)
 
 
 # ---------------------------------------------------------------------------

@@ -123,12 +123,20 @@ def test_bad_selector_exits_2_and_writes_nothing(argv, pair, tmp_path):
 @pytest.mark.parametrize("name", ["svd-diff", "angles", "restore-values", "restore-copy",
                                   "penalty"])
 def test_nan_in_checkpoint_exits_3_and_writes_nothing(name, pair, rollouts, tmp_path):
-    arrays = synth_decoder_arrays(11)
-    arrays["model.layers.0.self_attn.q_proj.weight"][2, 3] = np.nan
-    write_ckpt(pair[0], arrays)
-    out = tmp_path / "out"
-    assert cli.main(commands(pair, rollouts)[name] + ["--out", str(out)]) == 3
-    assert files(out) == {}
+    # (checkpoint, matrix) holding the NaN; the second checkpoint's matrices are loaded
+    # lazily, so a square and a rectangular one are checked there too
+    cases = [(0, "self_attn.q_proj")]
+    if name != "restore-copy":  # selects no ranks, so it reads no donor matrix
+        cases += [(1, "self_attn.q_proj"), (1, "mlp.up_proj")]
+    for which, matrix in cases:
+        for i, seed in enumerate((11, 23)):
+            arrays = synth_decoder_arrays(seed)
+            if i == which:
+                arrays[f"model.layers.0.{matrix}.weight"][2, 3] = np.nan
+            write_ckpt(pair[i], arrays)
+        out = tmp_path / f"out-{which}-{matrix}"
+        assert cli.main(commands(pair, rollouts)[name] + ["--out", str(out)]) == 3, matrix
+        assert files(out) == {}
 
 
 def test_svd_non_convergence_exits_3_and_writes_nothing(pair, rollouts, tmp_path, monkeypatch):
@@ -250,7 +258,7 @@ def test_angles_decomposes_only_rectangular_pairs(pair, rollouts, tmp_path, monk
 
         def wrapper(*args, **kwargs):
             if name == "matrix_angles":
-                calls.append([np.shape(args[0]), 0, 0])
+                calls.append([np.shape(args[0]()), 0, 0])
             else:
                 calls[-1][1 if name == "svd" else 2] += 1
             return original(*args, **kwargs)

@@ -1,11 +1,14 @@
 """SVD canonicalization, drift, principal angles, Procrustes."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles as scipy_subspace_angles
 
+from svdsurgery import spectral
 from svdsurgery.errors import NumericalError, ValidationError
 from svdsurgery.spectral import (
     AngleSpectrum,
@@ -106,6 +109,17 @@ def test_sign_canonicalization_idempotent_and_neutral():
     np.testing.assert_allclose((u3 * t.sigma) @ v3.T, reconstruct(t), atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(9, 5), (5, 9), (6, 6)])
+def test_svd_matches_sign_canonicalize_bit_for_bit_in_the_same_memory_order(shape):
+    w = np.random.default_rng(4).standard_normal(shape)
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    want_u, want_v = sign_canonicalize(u, vt.T)
+    t = svd(w)
+    for got, expected in zip((t.u, t.v, t.sigma), (want_u, want_v, s)):
+        assert got.strides == expected.strides
+        assert got.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # delta sigma
 
@@ -154,7 +168,8 @@ def test_svd_non_convergence_is_a_numerical_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", not_converging)
     w, tall = np.eye(3), np.eye(3, 2)  # a square pair's angles need no decomposition
-    for call in (lambda: svd(w), lambda: delta_sigma(w, w), lambda: matrix_angles(tall, tall),
+    for call in (lambda: svd(w), lambda: delta_sigma(w, w),
+                 lambda: matrix_angles(lambda: tall, lambda: tall),
                  lambda: principal_angles(w, w), lambda: procrustes(w, w)):
         with pytest.raises(NumericalError, match="did not converge"):
             call()
@@ -167,11 +182,40 @@ def test_square_pair_angles_are_exact_without_a_decomposition(monkeypatch):
     rng = np.random.default_rng(5)
     a, b = rng.standard_normal((2, 6, 6))
     monkeypatch.setattr(np.linalg, "svd", not_called)
-    left, right = matrix_angles(a, b)
+    left, right = matrix_angles(lambda: a, lambda: b)
     for spec, side in ((left, "left"), (right, "right")):
         assert (spec.side, spec.rank) == (side, 6)
         assert np.array_equal(spec.cosines, np.ones(6))
         assert np.array_equal(spec.angles_rad, np.zeros(6))
+
+
+def test_tall_pair_drops_a_before_b_is_decomposed(monkeypatch):
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((9, 5))
+    b = a + 0.1 * rng.standard_normal((9, 5))
+    decoded = []
+
+    def load_a():
+        w = a.copy()  # a fresh matrix that only matrix_angles holds, as load_matrix returns
+        decoded.append(weakref.ref(w))
+        return w
+
+    a_alive = []  # per svd call: whether A's decoded matrix is still alive
+    original = spectral.svd
+
+    def watched(w):
+        a_alive.append(decoded[0]() is not None)
+        return original(w)
+
+    monkeypatch.setattr(spectral, "svd", watched)
+    left, _ = matrix_angles(load_a, lambda: b.copy())
+    assert a_alive == [True, False]
+    assert left.max_rad > 1e-3
+
+
+def test_pair_of_different_shapes_is_a_validation_error():
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        matrix_angles(lambda: np.eye(3, 2), lambda: np.eye(2, 3))
 
 
 @pytest.mark.parametrize("shape", [(9, 5), (5, 9)])
@@ -179,7 +223,7 @@ def test_rectangular_pair_decomposes_for_its_partial_side_only(shape):
     rng = np.random.default_rng(6)
     a = rng.standard_normal(shape)
     b = a + 0.1 * rng.standard_normal(shape)
-    left, right = matrix_angles(a, b)
+    left, right = matrix_angles(lambda: a, lambda: b)
     m, n = shape
     tall = m > n
     full, partial = (right, left) if tall else (left, right)
@@ -203,7 +247,7 @@ def test_value_shift_recovered_and_subspaces_fixed():
     w2 = (t.u * (t.sigma + shift)) @ t.v.T
     spec = delta_sigma(w, w2)
     np.testing.assert_allclose(spec.delta, shift, atol=1e-10)
-    left, right = matrix_angles(w, w2)
+    left, right = matrix_angles(lambda: w, lambda: w2)
     assert left.max_rad <= 1e-8
     assert right.max_rad <= 1e-8
 
@@ -221,7 +265,7 @@ def test_rotation_vs_scaling_rates():
     for eta in etas:
         w2 = w @ (np.eye(10) + eta * askew)
         spec = delta_sigma(w, w2)
-        _, right = matrix_angles(w, w2)
+        _, right = matrix_angles(lambda: w, lambda: w2)
         drifts.append(spec.max_abs / np.linalg.norm(svd(w).sigma))
         angles.append(right.max_rad)
     drift_slope = np.polyfit(np.log(etas), np.log(drifts), 1)[0]
@@ -236,7 +280,7 @@ def test_orthogonal_invariance():
     q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
     spec = delta_sigma(w, q @ w)
     assert spec.max_abs <= 1e-10
-    left, _ = matrix_angles(w, q @ w)
+    left, _ = matrix_angles(lambda: w, lambda: q @ w)
     assert left.max_rad > 0.1  # a generic rotation moves the left subspace
 
 

@@ -92,7 +92,7 @@ def test_mixed_matrix_value_splice_properties():
     w_donor = spectral_matrix(rng, 8, 6, np.linspace(9.5, 1.5, 6))
     out = mixed_matrix(svd(w_host), svd(w_donor), "values", np.arange(6))
     np.testing.assert_allclose(svd(out).sigma, svd(w_donor).sigma, atol=1e-10)
-    left, right = matrix_angles(out, w_host)
+    left, right = matrix_angles(lambda: out, lambda: w_host)
     assert left.max_rad <= 1e-8
     assert right.max_rad <= 1e-8
 
@@ -103,7 +103,7 @@ def test_mixed_matrix_vector_splice_properties():
     w_donor = spectral_matrix(rng, 8, 6, np.linspace(9.5, 1.5, 6))
     out = mixed_matrix(svd(w_host), svd(w_donor), "vectors", np.arange(6))
     np.testing.assert_allclose(svd(out).sigma, svd(w_host).sigma, atol=1e-10)
-    left, right = matrix_angles(out, w_donor)
+    left, right = matrix_angles(lambda: out, lambda: w_donor)
     assert left.max_rad <= 1e-8
     assert right.max_rad <= 1e-8
 
@@ -240,7 +240,7 @@ def test_run_surgery_value_splice_spectra(synth_pair, tmp_path):
         np.testing.assert_allclose(
             svd(w_out).sigma, svd(load_matrix(donor, rec.tensor)).sigma, atol=1e-8
         )
-        left, right = matrix_angles(w_out, load_matrix(host, rec.tensor))
+        left, right = matrix_angles(lambda: w_out, lambda: load_matrix(host, rec.tensor))
         assert left.max_rad <= 1e-8
         assert right.max_rad <= 1e-8
 
@@ -255,7 +255,7 @@ def test_run_surgery_vector_splice_spectra(synth_pair, tmp_path):
         np.testing.assert_allclose(
             svd(w_out).sigma, svd(load_matrix(host, rec.tensor)).sigma, atol=1e-8
         )
-        left, right = matrix_angles(w_out, load_matrix(donor, rec.tensor))
+        left, right = matrix_angles(lambda: w_out, lambda: load_matrix(donor, rec.tensor))
         assert left.max_rad <= 1e-8
         assert right.max_rad <= 1e-8
 
