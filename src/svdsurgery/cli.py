@@ -17,6 +17,11 @@ angles and restore reports; on one thread the report bytes do not depend on
 the number of cores or on OPENBLAS_NUM_THREADS. It also saves CPU time: the
 decompositions here run no faster on two threads.
 
+svd-diff, angles, penalty and restore walk their matrices through
+`tensorstore.pair_matrices`, which gives each pair in key order with one
+loader per checkpoint. Each command decides when to load: svd-diff holds
+a pair's two matrices; the others drop each matrix before the next loads.
+
 A manifest is a JSON object naming a `command` (svd-diff, angles, restore,
 adv-stats or penalty) plus that command's parameters:
 
@@ -33,12 +38,10 @@ adv-stats or penalty) plus that command's parameters:
 - `sweep` (restore only) is an object holding `layers` and/or `ranks`,
   each a non-empty list of selector strings; each list replaces the single
   selector, and every (layers, ranks) pair is one grid point with its own
-  outputs. A restore is one plan over all its grid points, planned before
-  the first output is written. It starts every grid point's checkpoint
-  first, then runs matrix by matrix: each target is decomposed once per
-  restore, not once per grid point, and each grid point's edit of it is
-  written into that checkpoint at once, so memory does not grow with the
-  number of layers or grid points.
+  outputs. A restore is one plan over all its grid points: each matrix is
+  decomposed once per restore, not once per grid point, and memory does
+  not grow with the number of layers or grid points (see
+  `surgery.run_surgery`).
 
 Any other key is an error. `kinds` may be a list of strings or a
 comma-separated string.
@@ -85,7 +88,7 @@ from .surgery import (
     SurgeryPlan,
     run_surgery,
 )
-from .tensorstore import load_matrix, load_profile, open_checkpoint, pair_matrices
+from .tensorstore import load_profile, open_checkpoint, pair_matrices
 
 
 def _key_slug(key) -> str:
@@ -137,9 +140,9 @@ def _write_table(path: Path, header: list[str], rows: list[tuple], key_text) -> 
 
 
 def _present_pairs(ckpt_a, ckpt_b, profile) -> list[tuple]:
-    """Matrix pairs held by both checkpoints; keys missing from the second are skipped."""
+    """The `pair_matrices` walk without the keys missing from the second checkpoint."""
     pairs = pair_matrices(ckpt_a, ckpt_b, profile, lambda key: True)
-    pairs = [(key, name_a, name_b) for key, name_a, name_b in pairs if name_b is not None]
+    pairs = [pair for pair in pairs if pair[2] is not None]
     if not pairs:
         raise ValidationError(
             f"profile {profile.name!r} resolves no comparable 2-D tensors in both checkpoints"
@@ -155,12 +158,11 @@ def _run_compare(params: dict, command: str, stem: str, columns: tuple, parts, t
     """Shared body of svd-diff and angles.
 
     `columns` holds the part, detail and summary column names. For each
-    matrix pair, `parts(load_a, load_b)` lists (part, detail rows, summary
-    values), one per detail file: a single empty part for svd-diff, one per
-    side, holding the side, for angles. `load_a` and `load_b` take no
-    arguments and decode the pair's matrix from each checkpoint, so `parts`
-    decides when each matrix is loaded and how long it is held.
-    `totals(matrices)` adds report fields.
+    matrix pair of the `pair_matrices` walk, `parts(load_a, load_b)` lists
+    (part, detail rows, summary values), one per detail file: a single empty
+    part for svd-diff, one per side, holding the side, for angles. It gets
+    the walk's two loaders, so it decides when each matrix is loaded and how
+    long it is held. `totals(matrices)` adds report fields.
     """
     part_cols, detail_cols, summary_cols = columns
     ckpt_a, ckpt_b = open_checkpoint(params["a"]), open_checkpoint(params["b"])
@@ -170,11 +172,9 @@ def _run_compare(params: dict, command: str, stem: str, columns: tuple, parts, t
     summary_rows = []
     plot_rows = []
     with _staged_out(params["out"]) as stage:
-        for key, name_a, name_b in pairs:
+        for key, name_a, _, load_a, load_b in pairs:
             slug = _key_slug(key)
-            loaders = (functools.partial(load_matrix, ckpt_a, name_a),
-                       functools.partial(load_matrix, ckpt_b, name_b))
-            for part, rows, values in parts(*loaders):
+            for part, rows, values in parts(load_a, load_b):
                 write_csv(stage / ("__".join((stem, slug, *part)) + ".csv"), detail_cols, rows)
                 summary_rows.append((key, name_a, *part, *values))
                 plot_rows.extend((slug, *part, *row) for row in rows)
@@ -362,21 +362,18 @@ def run_penalty(params: dict) -> int:
         raise ValidationError(f"rank must be >= 1, got {rank}")
     rows = []
     per_kind: dict[str, float] = {}
-    for key, name_ref, name_cur in pairs:
+    for key, name_ref, _, load_ref, load_cur in pairs:
         if key.kind not in params["kinds"]:
             continue
+        rank_used = min(rank, *ckpt_ref.index[name_ref].shape)
         # one matrix at a time: the reference is fitted and dropped before the current loads
-        w_ref = load_matrix(ckpt_ref, name_ref)
-        rank_used = min(rank, min(w_ref.shape))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # degeneracy lands in the table
-            ref = fit_reference(w_ref, rank_used)
-        del w_ref
-        w_cur = load_matrix(ckpt_cur, name_cur)
-        value = penalty_value(w_cur, ref)
+            ref = fit_reference(load_ref(), rank_used)
+        value = penalty_value(load_cur(), ref)
         rows.append((key, name_ref, rank_used, value, ref.degenerate))
         per_kind[key.kind] = per_kind.get(key.kind, 0.0) + value
-        del w_cur, ref
+        del ref
     if not rows:
         raise ValidationError("no matrices selected; check --kinds against the profile")
 

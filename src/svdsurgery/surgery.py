@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +33,6 @@ from .tensorstore import (
     MatrixKey,
     NamingProfile,
     encode_edit,
-    load_matrix,
     pair_matrices,
     write_checkpoint,
 )
@@ -148,8 +148,8 @@ class RankSelector:
         return f"{self.rule}:{self.count}"
 
 
-#: (key, host tensor, donor tensor) of one matrix to edit
-Target = tuple[MatrixKey, str, str]
+#: (key, host tensor, donor tensor, host loader, donor loader), from `pair_matrices`
+Target = tuple[MatrixKey, str, str, Callable, Callable]
 
 
 @dataclass
@@ -163,8 +163,9 @@ class SurgeryPlan:
     grid: list[tuple[LayerSelector, RankSelector]]
     kinds: tuple[str, ...] = DEFAULT_SURGERY_KINDS
     align: str = "none"  # "none" | "procrustes" (vectors mode only, experimental)
-    #: per grid point, the targets to edit, from `plan_selection`
-    targets: list[list[Target]] = field(init=False)
+    #: from `plan_selection`: the matrices to edit, and per grid point its layers
+    targets: list[Target] = field(init=False)
+    layers: list[set[int]] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -175,7 +176,7 @@ class SurgeryPlan:
             raise ValidationError("align 'procrustes' needs mode 'vectors'; values mode keeps "
                                   "the host's singular vectors, so there is nothing to align")
         self.profile.check_kinds(self.kinds)
-        self.targets = plan_selection(self)
+        self.targets, self.layers = plan_selection(self)
 
     def echo(self, point: int) -> dict:
         layers, ranks = self.grid[point]
@@ -283,27 +284,25 @@ class SurgeryReport:
         return sum(1 for r in self.records if r.status == "edited")
 
 
-def plan_selection(plan: SurgeryPlan) -> list[list[Target]]:
-    """Resolve and validate the targets to edit at each grid point.
+def plan_selection(plan: SurgeryPlan) -> tuple[list[Target], list[set[int]]]:
+    """The matrices some grid point edits, in key order, and each grid point's layers.
 
-    A grid point filters the host's matrices by kind and layer; a key that
-    some grid point selects and the donor lacks is an error. Each
-    checkpoint's keys are resolved once for the whole grid, and the layer
-    list is that of the host's matrices of the plan's kinds. `SurgeryPlan`
-    runs this once, when it is built, and keeps the result as `targets`.
+    The matrices come from one `pair_matrices` walk of host and donor, so
+    each checkpoint's keys are resolved once for the whole grid. A grid
+    point edits the host's matrices of the plan's kinds in the layers its
+    selector picks from theirs; a key that some grid point edits and the
+    donor lacks is an error. `SurgeryPlan` runs this once, when it is
+    built, and keeps the result as `targets` and `layers`.
     """
     kinds = set(plan.kinds)
     paired = pair_matrices(plan.host, plan.donor, plan.profile, lambda key: key.kind in kinds)
-    host_layers = sorted({key.layer for key, _, _ in paired})
-    targets = []
-    for layers, _ in plan.grid:
-        chosen = layers.resolve(host_layers)
-        point = [target for target in paired if target[0].layer in chosen]
-        for key, _, donor_name in point:
-            if donor_name is None:
+    host_layers = sorted({key.layer for key, *_ in paired})
+    chosen = [layers.resolve(host_layers) for layers, _ in plan.grid]
+    for layers in chosen:
+        for key, _, donor_name, _, _ in paired:
+            if donor_name is None and key.layer in layers:
                 raise ValidationError(f"donor checkpoint has no tensor for {key.label}")
-        targets.append(point)
-    return targets
+    return [t for t in paired if any(t[0].layer in layers for layers in chosen)], chosen
 
 
 def _splice_target(
@@ -319,23 +318,23 @@ def _splice_target(
     reads of it is kept while the host decomposes: its whole `sigma`, plus
     copies of its leading `u` and `v` columns up to the highest rank any
     selector picks (none in values mode). Neither float64 matrix is held
-    across the other's decomposition: each is decoded again for the
-    record's distances. Each mixed matrix is encoded to its stored dtype
-    and written as soon as its record is taken, so no float64 result or
-    encoded edit outlives its grid point.
+    across the other's decomposition: the target's loaders decode each
+    again for every grid point's distances. Each mixed matrix is encoded to
+    its stored dtype and written as soon as its record is taken, so no
+    float64 result or encoded edit outlives its grid point.
     """
-    key, host_name, donor_name = target
+    key, host_name, _, load_host, load_donor = target
     thin_rank = min(plan.host.index[host_name].shape)
     rank_sets = [ranks.resolve(thin_rank) for ranks, _ in points]
     if not any(ranks.size for ranks in rank_sets):
-        load_matrix(plan.host, host_name)  # a non-finite host fails as it would if edited
+        load_host()  # a non-finite host fails as it would if edited
         return [MatrixRecord(key=key, tensor=host_name, status="copied") for _ in points]
-    donor_t = svd(load_matrix(plan.donor, donor_name))
+    donor_t = svd(load_donor())
     keep = 0 if plan.mode == "values" else 1 + max(int(r.max()) for r in rank_sets if r.size)
     # copies, not views: a view would keep the whole `u` and `v` alive
     donor_t = SvdTriple(u=donor_t.u[:, :keep].copy(), sigma=donor_t.sigma,
                         v=donor_t.v[:, :keep].copy())
-    host_t = svd(load_matrix(plan.host, host_name))
+    host_t = svd(load_host())
     records = []
     for ranks, (_, writer) in zip(rank_sets, points):
         if ranks.size == 0:
@@ -345,11 +344,11 @@ def _splice_target(
             _aligned_donor(host_t, donor_t, ranks) if plan.align == "procrustes" else donor_t
         )
         w_out = mixed_matrix(host_t, point_donor_t, plan.mode, ranks)
-        diff = w_out - load_matrix(plan.host, host_name)
+        diff = w_out - load_host()
         fro_vs_host = float(np.linalg.norm(diff))
         max_entry_change = float(np.max(np.abs(diff, out=diff)))
         del diff
-        fro_vs_donor = float(np.linalg.norm(w_out - load_matrix(plan.donor, donor_name)))
+        fro_vs_donor = float(np.linalg.norm(w_out - load_donor()))
         records.append(MatrixRecord(
             key=key,
             tensor=host_name,
@@ -379,14 +378,14 @@ def run_surgery(
     starts each grid point's file: the header, whose edited tensors and
     their dtypes follow from the header shapes and the rank selectors, and
     every tensor that grid point leaves unedited, copied byte-exact. The run
-    then walks every matrix that any grid point targets once, in key order,
-    decomposes it once, donor first, keeping only the donor columns that the
-    mixing reads, and writes each grid point's mixed_matrix output into
-    that grid point's file as soon as it is encoded (see `_splice_target`).
-    A selection that resolves to no ranks leaves the tensor untouched, and a
-    matrix no grid point selects ranks of gets no SVD. So the run holds one
-    matrix's working set at a time, however many layers and grid points the
-    plan has.
+    then walks the plan's `targets` once, in key order, and through their
+    loaders decomposes each matrix once, donor first, keeping only the donor
+    columns that the mixing reads. It writes each grid point's mixed_matrix
+    output into that grid point's file as soon as it is encoded (see
+    `_splice_target`). A selection that resolves to no ranks leaves the
+    tensor untouched, and a matrix no grid point selects ranks of gets no
+    SVD. So the run holds one matrix's working set at a time, however many
+    layers and grid points the plan has.
 
     An output that is the host or the donor file, or that two grid points
     share, is refused before any output is opened. If the run fails, every
@@ -401,14 +400,12 @@ def run_surgery(
             if os.path.exists(out) and os.path.samefile(out, source.path):
                 raise ValidationError(f"cannot write checkpoint over its {role} {source.path}")
 
-    # every grid point's targets are in key order, so records append in that order
-    chosen = [set(targets) for targets in plan.targets]
     edited = [
-        sorted(name for _, name, _ in targets
-               if ranks.resolve(min(plan.host.index[name].shape)).size)
-        for targets, (_, ranks) in zip(plan.targets, plan.grid)
+        sorted(name for key, name, *_ in plan.targets
+               if key.layer in layers and ranks.resolve(min(plan.host.index[name].shape)).size)
+        for layers, (_, ranks) in zip(plan.layers, plan.grid)
     ]
-    records: list[list[MatrixRecord]] = [[] for _ in chosen]
+    records: list[list[MatrixRecord]] = [[] for _ in plan.grid]
     started = []
     try:
         writers = []
@@ -416,8 +413,8 @@ def run_surgery(
             started.append(out)
             dtypes = {name: "F32" if force_f32 else plan.host.index[name].dtype for name in names}
             writers.append(write_checkpoint(plan.host, dtypes, out))
-        for target in sorted(set().union(*chosen), key=lambda t: t[0].sort_key()):
-            users = [i for i, targets in enumerate(chosen) if target in targets]
+        for target in plan.targets:  # in key order, so records append in that order
+            users = [i for i, layers in enumerate(plan.layers) if target[0].layer in layers]
             points = [(plan.grid[i][1], writers[i]) for i in users]
             for i, record in zip(users, _splice_target(plan, target, points, force_f32)):
                 records[i].append(record)

@@ -18,10 +18,12 @@ exactly representable there) and are then rounded to BF16 on the raw bits.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import json
 import os
 import re
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -500,12 +502,14 @@ def resolve_keys(ckpt: Checkpoint, profile: NamingProfile) -> list[tuple[MatrixK
 
 def pair_matrices(
     a: Checkpoint, b: Checkpoint, profile: NamingProfile, keep
-) -> list[tuple[MatrixKey, str, str | None]]:
-    """Pair each 2-D matrix of `a` whose key passes `keep` with `b`'s tensor for that key.
+) -> list[tuple[MatrixKey, str, str | None, Callable, Callable | None]]:
+    """The one walk over the matrices of two checkpoints, paired by key, in key order.
 
-    Returns (key, name in a, name in b) sorted by key; the name in b is None
-    where `b` resolves no tensor for the key. Paired tensors must have the
-    same shape.
+    For each 2-D matrix of `a` whose key passes `keep`: (key, name in a,
+    name in b, load a, load b). A loader decodes its matrix by `load_matrix`
+    when called, so the caller decides when to load. The name and loader in
+    b are None where `b` lacks the key; keys only `b` has are left out.
+    Paired tensors must have the same shape.
     """
     names_b = dict(resolve_keys(b, profile))
     pairs = []
@@ -518,5 +522,6 @@ def pair_matrices(
             raise ValidationError(
                 f"{key.label}: shape {shape} in {a.path} vs {b.index[name_b].shape} in {b.path}"
             )
-        pairs.append((key, name_a, name_b))
+        load_b = None if name_b is None else functools.partial(load_matrix, b, name_b)
+        pairs.append((key, name_a, name_b, functools.partial(load_matrix, a, name_a), load_b))
     return pairs

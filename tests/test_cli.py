@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from svdsurgery import cli, spectral, surgery, tensorstore
 from svdsurgery.errors import NumericalError, WriteError
 from svdsurgery.reports import write_json
 
-from conftest import pack_container, synth_decoder_arrays
+from conftest import decoder_layer_shapes, pack_container, synth_decoder_arrays
 
 MISSING = "model.layers.1.mlp.up_proj.weight"
 
@@ -334,7 +335,7 @@ def test_adv_stats_out_of_range_scale_exits_3_and_names_it(scale, cause, rollout
 
 
 # ---------------------------------------------------------------------------
-# a key missing from the second checkpoint
+# a key that only one checkpoint has
 
 
 @pytest.mark.parametrize("name,rows", [("svd-diff", 13), ("angles", 26), ("penalty", 11)])
@@ -358,6 +359,87 @@ def test_restore_exits_2_on_a_key_missing_from_the_donor(pair, rollouts, tmp_pat
     assert cli.main(commands(pair, rollouts)["restore-values"] + ["--out", str(out)]) == 2
     assert "L001.mlp_up" in capsys.readouterr().err
     assert files(out) == {}
+
+
+@pytest.mark.parametrize("name,rows", [("svd-diff", 13), ("angles", 26), ("penalty", 11)])
+def test_compare_commands_skip_a_key_only_the_second_has(name, rows, pair, rollouts, tmp_path):
+    arrays = synth_decoder_arrays(11)  # the first checkpoint's seed
+    del arrays[MISSING]
+    write_ckpt(pair[0], arrays)
+    out = tmp_path / "out"
+    assert cli.main(commands(pair, rollouts)[name] + ["--out", str(out)]) == 0
+    table = out / ("penalty.csv" if name == "penalty" else "summary.csv")
+    lines = table.read_text().splitlines()[1:]
+    assert len(lines) == rows
+    assert not any(MISSING in line for line in lines)
+
+
+def test_restore_ignores_a_key_only_the_donor_has(pair, rollouts, tmp_path):
+    arrays = synth_decoder_arrays(11)
+    del arrays[MISSING]
+    write_ckpt(pair[0], arrays)
+    out = tmp_path / "out"
+    argv = commands(pair, rollouts)["restore-values"] + ["--out", str(out)]
+    assert cli.main(argv) == 0
+    with_key = files(out)
+    shutil.rmtree(out)
+    arrays = synth_decoder_arrays(23)
+    del arrays[MISSING]
+    write_ckpt(pair[1], arrays)
+    assert cli.main(argv) == 0
+    assert files(out) == with_key
+
+
+# ---------------------------------------------------------------------------
+# the order each command loads matrices in
+
+#: tensor names of the 2-layer `pair`, in key order
+PAIR_NAMES = [name for layer in (0, 1) for name in decoder_layer_shapes(layer)]
+
+
+def record_loads(monkeypatch) -> list[tuple]:
+    """Log each `tensorstore.load_matrix` call as (file name, tensor, previous matrix alive)."""
+    loads, returned = [], []
+    original = tensorstore.load_matrix
+
+    def recorded(ckpt, name):
+        loads.append((ckpt.path.name, name, bool(returned) and returned[-1]() is not None))
+        w = original(ckpt, name)
+        returned.append(weakref.ref(w))
+        return w
+
+    monkeypatch.setattr(tensorstore, "load_matrix", recorded)
+    return loads
+
+
+@pytest.mark.parametrize("name", ["svd-diff", "angles"])
+def test_compare_commands_load_a_then_b_per_key(name, pair, rollouts, tmp_path, monkeypatch):
+    loads = record_loads(monkeypatch)
+    assert cli.main(commands(pair, rollouts)[name] + ["--out", str(tmp_path / "out")]) == 0
+    want = [(ckpt, n) for n in PAIR_NAMES for ckpt in ("host.safetensors", "donor.safetensors")]
+    assert [(ckpt, n) for ckpt, n, _ in loads] == want
+
+
+def test_penalty_drops_the_reference_before_the_current_loads(pair, rollouts, tmp_path,
+                                                              monkeypatch):
+    loads = record_loads(monkeypatch)
+    assert cli.main(commands(pair, rollouts)["penalty"] + ["--out", str(tmp_path / "out")]) == 0
+    names = [n for n in PAIR_NAMES if "o_proj" not in n]  # o is not a default kind
+    want = [(ckpt, n) for n in names for ckpt in ("host.safetensors", "donor.safetensors")]
+    assert [(ckpt, n) for ckpt, n, _ in loads] == want
+    assert not any(alive for _, _, alive in loads[1::2])
+
+
+def test_restore_sweep_loads_donor_then_host_then_both_per_grid_point(pair, tmp_path,
+                                                                      monkeypatch):
+    loads = record_loads(monkeypatch)
+    sweep = {"ranks": ["top:2", "top:3"]}
+    manifest = restore_manifest(pair, tmp_path / "out", mode="vectors", sweep=sweep)
+    assert run_manifest(tmp_path, manifest) == 0
+    names = [n for n in PAIR_NAMES if "o_proj" not in n]
+    order = ["donor", "host"] + ["host", "donor"] * len(sweep["ranks"])
+    want = [(f"{ckpt}.safetensors", n) for n in names for ckpt in order]
+    assert [(ckpt, n) for ckpt, n, _ in loads] == want
 
 
 @pytest.mark.parametrize("name", ["restore-values", "penalty"])
