@@ -45,7 +45,6 @@ from .tensorstore import (
     Checkpoint,
     MatrixKey,
     NamingProfile,
-    encode_edit,
     load_matrix,
     load_profile,
     open_checkpoint,
@@ -76,7 +75,6 @@ __all__ = [
     "ValidationError",
     "WriteError",
     "delta_sigma",
-    "encode_edit",
     "fit_reference",
     "gae",
     "load_matrix",

@@ -455,36 +455,39 @@ def read_rollout_log(path: str | Path, params: GaeParams | None = None):
     advantages: list[float] = []
     # per trace: (t, reward or None on the terminal-value row, value)
     steps: dict[str, list[tuple[int, float | None, float]]] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise ValidationError(
-                    f"{path}:{lineno}: record must be a JSON object, got {type(rec).__name__}"
-                )
-            try:
-                if "advantage" in rec:
-                    advantages.append(_number(rec["advantage"]))
-                elif "trace_id" in rec and "t" in rec and "value" in rec:
-                    t, reward = rec["t"], rec.get("reward")
-                    if not (type(t) is int or type(t) is float and t.is_integer()):
-                        raise ValueError(f"step index t must be an integer, got {t!r}")
-                    reward = None if reward is None else _number(reward)
-                    row = (int(t), reward, _number(rec["value"]))
-                    steps.setdefault(str(rec["trace_id"]), []).append(row)
-                else:
+    try:  # the decode runs as the loop reads, so a non-UTF-8 file fails inside it
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                if not isinstance(rec, dict):
                     raise ValidationError(
-                        f"{path}:{lineno}: record needs either 'advantage' or "
-                        "'trace_id'/'t'/'reward'/'value' fields"
+                        f"{path}:{lineno}: record must be a JSON object, got {type(rec).__name__}"
                     )
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"{path}:{lineno}: bad field value: {exc}") from exc
+                try:
+                    if "advantage" in rec:
+                        advantages.append(_number(rec["advantage"]))
+                    elif "trace_id" in rec and "t" in rec and "value" in rec:
+                        t, reward = rec["t"], rec.get("reward")
+                        if not (type(t) is int or type(t) is float and t.is_integer()):
+                            raise ValueError(f"step index t must be an integer, got {t!r}")
+                        reward = None if reward is None else _number(reward)
+                        row = (int(t), reward, _number(rec["value"]))
+                        steps.setdefault(str(rec["trace_id"]), []).append(row)
+                    else:
+                        raise ValidationError(
+                            f"{path}:{lineno}: record needs either 'advantage' or "
+                            "'trace_id'/'t'/'reward'/'value' fields"
+                        )
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ValidationError(f"{path}:{lineno}: bad field value: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     if advantages and steps:
         raise ValidationError(f"{path}: mixes advantage records with trace records")
     if advantages:

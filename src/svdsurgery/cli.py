@@ -277,7 +277,7 @@ def run_restore(params: dict) -> int:
                 {
                     "plan": report.plan,
                     "output_checkpoint": str(Path(params["out"]) / f"{stem}.safetensors"),
-                    "edited_matrices": report.edited_count,
+                    "edited_matrices": len(report.rounding_errors),
                     "records": records,
                     "copied_tensors": report.copied_tensors,
                     "write": {
@@ -304,7 +304,7 @@ def _load_thresholds(spec: str) -> ThresholdConfig:
     try:
         raw = json.loads(path.read_text())
         return ThresholdConfig(**raw)
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
         raise ValidationError(f"malformed thresholds file {path}: {exc}") from exc
 
 
@@ -460,6 +460,8 @@ def run_manifest(params: dict) -> int:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"manifest is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"manifest {path} is not UTF-8 text: {exc}") from exc
     if not isinstance(manifest, dict) or "command" not in manifest:
         raise ValidationError("manifest must be a JSON object with a 'command' field")
     command = manifest["command"]

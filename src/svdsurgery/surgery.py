@@ -5,9 +5,11 @@ from the donor, and writes the edited model. One `SurgeryPlan` describes one
 restore run: a host, a donor, a mode and the matrix kinds, plus a grid of
 (layers, ranks) selections, each of which writes its own checkpoint. A run
 streams: every grid point's checkpoint is started before the first matrix
-is loaded, and each edit is written into it as soon as it is encoded, so
+is loaded, and each edit is written into it as soon as it is mixed, so
 peak memory is set by the largest matrix, not by the number of layers or
-grid points.
+grid points. Each restore decision is made once: the plan resolves which
+ranks every grid point edits in every matrix (`plan_selection`), and each
+output's writer narrows its edits to the dtype of their slot.
 Pairing of singular directions is by rank index after canonical sorting;
 mixed column sets are used as-is, with no re-orthogonalization, so the
 report flags matrices whose selection boundary falls inside a
@@ -32,7 +34,6 @@ from .tensorstore import (
     CheckpointWriter,
     MatrixKey,
     NamingProfile,
-    encode_edit,
     pair_matrices,
     write_checkpoint,
 )
@@ -163,9 +164,8 @@ class SurgeryPlan:
     grid: list[tuple[LayerSelector, RankSelector]]
     kinds: tuple[str, ...] = DEFAULT_SURGERY_KINDS
     align: str = "none"  # "none" | "procrustes" (vectors mode only, experimental)
-    #: from `plan_selection`: the matrices to edit, and per grid point its layers
-    targets: list[Target] = field(init=False)
-    layers: list[set[int]] = field(init=False)
+    #: from `plan_selection`: each matrix to edit, with its ranks per grid point
+    targets: list[tuple[Target, list[np.ndarray | None]]] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -176,7 +176,7 @@ class SurgeryPlan:
             raise ValidationError("align 'procrustes' needs mode 'vectors'; values mode keeps "
                                   "the host's singular vectors, so there is nothing to align")
         self.profile.check_kinds(self.kinds)
-        self.targets, self.layers = plan_selection(self)
+        self.targets = plan_selection(self)
 
     def echo(self, point: int) -> dict:
         layers, ranks = self.grid[point]
@@ -279,64 +279,67 @@ class SurgeryReport:
     #: per edited tensor: max |stored - requested| after dtype rounding
     rounding_errors: dict[str, float]
 
-    @property
-    def edited_count(self) -> int:
-        return sum(1 for r in self.records if r.status == "edited")
 
-
-def plan_selection(plan: SurgeryPlan) -> tuple[list[Target], list[set[int]]]:
-    """The matrices some grid point edits, in key order, and each grid point's layers.
+def plan_selection(plan: SurgeryPlan) -> list[tuple[Target, list[np.ndarray | None]]]:
+    """Each matrix some grid point edits, in key order, with its ranks per grid point.
 
     The matrices come from one `pair_matrices` walk of host and donor, so
     each checkpoint's keys are resolved once for the whole grid. A grid
-    point edits the host's matrices of the plan's kinds in the layers its
-    selector picks from theirs; a key that some grid point edits and the
-    donor lacks is an error. `SurgeryPlan` runs this once, when it is
-    built, and keeps the result as `targets` and `layers`.
+    point takes the host's matrices of the plan's kinds in the layers its
+    selector picks from theirs, and gives each the ranks its rank selector
+    resolves for that matrix (possibly none); it gives None to a matrix its
+    layers leave out. A matrix that every grid point leaves out is dropped,
+    and one that some grid point takes and the donor lacks is an error.
+    `SurgeryPlan` runs this once, when it is built, and keeps the result as
+    `targets`.
     """
     kinds = set(plan.kinds)
     paired = pair_matrices(plan.host, plan.donor, plan.profile, lambda key: key.kind in kinds)
     host_layers = sorted({key.layer for key, *_ in paired})
-    chosen = [layers.resolve(host_layers) for layers, _ in plan.grid]
-    for layers in chosen:
-        for key, _, donor_name, _, _ in paired:
-            if donor_name is None and key.layer in layers:
-                raise ValidationError(f"donor checkpoint has no tensor for {key.label}")
-    return [t for t in paired if any(t[0].layer in layers for layers in chosen)], chosen
+    chosen = [(layers.resolve(host_layers), ranks) for layers, ranks in plan.grid]
+    targets = []
+    for target in paired:
+        key, host_name, donor_name, _, _ = target
+        thin_rank = min(plan.host.index[host_name].shape)
+        point_ranks = [ranks.resolve(thin_rank) if key.layer in layers else None
+                       for layers, ranks in chosen]
+        if all(ranks is None for ranks in point_ranks):
+            continue
+        if donor_name is None:
+            raise ValidationError(f"donor checkpoint has no tensor for {key.label}")
+        targets.append((target, point_ranks))
+    return targets
 
 
 def _splice_target(
     plan: SurgeryPlan,
     target: Target,
-    points: list[tuple[RankSelector, CheckpointWriter]],
-    force_f32: bool,
+    points: list[tuple[np.ndarray, CheckpointWriter]],
 ) -> list[MatrixRecord]:
-    """The record of one target for each (rank selector, writer) grid point.
+    """The record of one target for each (ranks, writer) grid point that takes it.
 
-    Host and donor are decomposed once, and only when some selector picks
-    ranks of this matrix. The donor goes first, and only what the mixing
-    reads of it is kept while the host decomposes: its whole `sigma`, plus
-    copies of its leading `u` and `v` columns up to the highest rank any
-    selector picks (none in values mode). Neither float64 matrix is held
-    across the other's decomposition: the target's loaders decode each
-    again for every grid point's distances. Each mixed matrix is encoded to
-    its stored dtype and written as soon as its record is taken, so no
-    float64 result or encoded edit outlives its grid point.
+    Host and donor are decomposed once, and only when some grid point
+    selects ranks of this matrix. The donor goes first, and only what the
+    mixing reads of it is kept while the host decomposes: its whole `sigma`,
+    plus copies of its leading `u` and `v` columns up to the highest rank
+    any grid point selects (none in values mode). Neither float64 matrix is
+    held across the other's decomposition: the target's loaders decode each
+    again for every grid point's distances. Each mixed matrix goes to its
+    grid point's writer as soon as its record is taken, so no float64
+    result outlives its grid point.
     """
     key, host_name, _, load_host, load_donor = target
-    thin_rank = min(plan.host.index[host_name].shape)
-    rank_sets = [ranks.resolve(thin_rank) for ranks, _ in points]
-    if not any(ranks.size for ranks in rank_sets):
+    if not any(ranks.size for ranks, _ in points):
         load_host()  # a non-finite host fails as it would if edited
         return [MatrixRecord(key=key, tensor=host_name, status="copied") for _ in points]
     donor_t = svd(load_donor())
-    keep = 0 if plan.mode == "values" else 1 + max(int(r.max()) for r in rank_sets if r.size)
+    keep = 0 if plan.mode == "values" else 1 + max(int(r.max()) for r, _ in points if r.size)
     # copies, not views: a view would keep the whole `u` and `v` alive
     donor_t = SvdTriple(u=donor_t.u[:, :keep].copy(), sigma=donor_t.sigma,
                         v=donor_t.v[:, :keep].copy())
     host_t = svd(load_host())
     records = []
-    for ranks, (_, writer) in zip(rank_sets, points):
+    for ranks, writer in points:
         if ranks.size == 0:
             records.append(MatrixRecord(key=key, tensor=host_name, status="copied"))
             continue
@@ -364,7 +367,7 @@ def _splice_target(
                 or _boundary_degenerate(point_donor_t.sigma, ranks)
             ),
         ))
-        writer.write_edit(host_name, encode_edit(plan.host, host_name, w_out, force_f32))
+        writer.write_edit(host_name, w_out)
         del w_out, point_donor_t  # free before the next grid point mixes its own
     return records
 
@@ -375,13 +378,15 @@ def run_surgery(
     """Execute a plan; grid point i writes its checkpoint to `outs[i]`.
 
     The outputs are streamed. Before any matrix is loaded, `write_checkpoint`
-    starts each grid point's file: the header, whose edited tensors and
-    their dtypes follow from the header shapes and the rank selectors, and
-    every tensor that grid point leaves unedited, copied byte-exact. The run
-    then walks the plan's `targets` once, in key order, and through their
-    loaders decomposes each matrix once, donor first, keeping only the donor
-    columns that the mixing reads. It writes each grid point's mixed_matrix
-    output into that grid point's file as soon as it is encoded (see
+    starts each grid point's file: the header, and every tensor that grid
+    point leaves unedited, copied byte-exact. A grid point edits the
+    targets it resolved ranks for (`plan.targets`), each stored in the
+    host's dtype, or in F32 when `force_f32`; this is the one place an
+    edit's dtype is decided. The run then walks the plan's `targets` once,
+    in key order, and through their loaders decomposes each matrix once,
+    donor first, keeping only the donor columns that the mixing reads. It
+    hands each grid point's mixed_matrix output to that grid point's writer,
+    which narrows it to its slot's dtype and writes it in place (see
     `_splice_target`). A selection that resolves to no ranks leaves the
     tensor untouched, and a matrix no grid point selects ranks of gets no
     SVD. So the run holds one matrix's working set at a time, however many
@@ -401,9 +406,9 @@ def run_surgery(
                 raise ValidationError(f"cannot write checkpoint over its {role} {source.path}")
 
     edited = [
-        sorted(name for key, name, *_ in plan.targets
-               if key.layer in layers and ranks.resolve(min(plan.host.index[name].shape)).size)
-        for layers, (_, ranks) in zip(plan.layers, plan.grid)
+        sorted(name for (_, name, *_), ranks in plan.targets
+               if ranks[point] is not None and ranks[point].size)
+        for point in range(len(plan.grid))
     ]
     records: list[list[MatrixRecord]] = [[] for _ in plan.grid]
     started = []
@@ -413,10 +418,10 @@ def run_surgery(
             started.append(out)
             dtypes = {name: "F32" if force_f32 else plan.host.index[name].dtype for name in names}
             writers.append(write_checkpoint(plan.host, dtypes, out))
-        for target in plan.targets:  # in key order, so records append in that order
-            users = [i for i, layers in enumerate(plan.layers) if target[0].layer in layers]
-            points = [(plan.grid[i][1], writers[i]) for i in users]
-            for i, record in zip(users, _splice_target(plan, target, points, force_f32)):
+        for target, ranks in plan.targets:  # in key order, so records append in that order
+            users = [i for i, point_ranks in enumerate(ranks) if point_ranks is not None]
+            points = [(ranks[i], writers[i]) for i in users]
+            for i, record in zip(users, _splice_target(plan, target, points)):
                 records[i].append(record)
     except BaseException:
         for out in started:

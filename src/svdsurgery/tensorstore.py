@@ -6,11 +6,11 @@ little-endian row-major payload. Offsets are relative to the start of the
 payload section. The optional "__metadata__" header entry is a
 string-to-string map and is preserved on rewrite.
 
-All analysis happens in float64. Narrowing back to a stored dtype happens
-when an edit is encoded (`encode_edit`), with round-to-nearest-even. A
-checkpoint is written in two steps: `write_checkpoint` writes the header and
-every unedited tensor, and the writer it returns puts each encoded edit in
-place as it arrives, so no writer holds more than one edit. BF16 has
+All analysis happens in float64. A checkpoint is written in two steps:
+`write_checkpoint` writes the header, which fixes each edited tensor's
+dtype, and every unedited tensor; the writer it returns narrows each edit
+to the dtype of its slot, with round-to-nearest-even, and puts it in place
+as it arrives, so no writer holds more than one edit. BF16 has
 no native numpy dtype; values pass through float32 (every BF16 value is
 exactly representable there) and are then rounded to BF16 on the raw bits.
 """
@@ -216,66 +216,48 @@ def load_matrix(ckpt: Checkpoint, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EncodedEdit:
-    """A tensor's replacement values, already narrowed to the dtype they are stored in."""
-
-    dtype: str
-    data: bytes
-    #: max |stored - requested| after dtype rounding
-    rounding_error: float
-
-
-def encode_edit(
-    base: Checkpoint, name: str, values: np.ndarray, force_f32: bool = False
-) -> EncodedEdit:
-    """Check float64 `values` against tensor `name` of `base` and narrow them for writing.
-
-    The values are rounded to the tensor's stored dtype, or to F32 when
-    `force_f32`; a value beyond that dtype's range is a NumericalError.
-    """
-    if name not in base.index:
-        raise ValidationError(f"edit targets unknown tensor {name!r}")
-    shape = base.index[name].shape
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != shape:
-        raise ValidationError(f"edit for {name!r} has shape {arr.shape}, checkpoint has {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"edit for {name!r} contains non-finite values")
-    dtype = "F32" if force_f32 else base.index[name].dtype
-    with np.errstate(over="ignore"):  # an overflow is raised below, naming the tensor
-        data = encode_values(arr, dtype)
-    stored = decode_values(data, dtype).reshape(shape)
-    stored -= arr
-    err = float(np.max(np.abs(stored, out=stored))) if arr.size else 0.0
-    if not np.isfinite(err):
-        raise NumericalError(f"edit for {name!r} overflows {dtype}")
-    return EncodedEdit(dtype=dtype, data=data, rounding_error=err)
-
-
-@dataclass(frozen=True)
 class CheckpointWriter:
     """The byte ranges of a started checkpoint file that are left for its edits."""
 
+    base: Checkpoint
     path: Path
     #: edited tensor name -> (dtype, start, end) of its bytes in the file
     slots: dict[str, tuple[str, int, int]]
-    #: edited tensor name -> rounding error of the edit written there so far
+    #: edited tensor name -> max |stored - requested| of the edit written there so far
     rounding_errors: dict[str, float] = field(default_factory=dict)
 
-    def write_edit(self, name: str, edit: EncodedEdit) -> None:
-        """Write `edit` into the byte range that tensor `name` was given."""
-        dtype, start, end = self.slots.get(name, (None, 0, 0))
-        if edit.dtype != dtype or len(edit.data) != end - start:
+    def write_edit(self, name: str, values: np.ndarray) -> None:
+        """Narrow float64 `values` to the dtype of tensor `name`'s slot and write them there.
+
+        The values must have the tensor's shape in the base and be finite;
+        they are rounded to nearest-even, and a value beyond the slot
+        dtype's range is a NumericalError. Nothing is written on an error.
+        """
+        if name not in self.slots:
+            raise ValidationError(f"tensor {name!r} has no edit slot in {self.path}")
+        dtype, start, _ = self.slots[name]
+        shape = self.base.index[name].shape
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.shape != shape:
             raise ValidationError(
-                f"encoded edit for {name!r} does not fit its place in {self.path}"
+                f"edit for {name!r} has shape {arr.shape}, checkpoint has {shape}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise NumericalError(f"edit for {name!r} contains non-finite values")
+        with np.errstate(over="ignore"):  # an overflow is raised below, naming the tensor
+            data = encode_values(arr, dtype)
+        stored = decode_values(data, dtype).reshape(shape)
+        stored -= arr
+        err = float(np.max(np.abs(stored, out=stored))) if arr.size else 0.0
+        if not np.isfinite(err):
+            raise NumericalError(f"edit for {name!r} overflows {dtype}")
         try:
             with open(self.path, "r+b") as fh:
                 fh.seek(start)
-                fh.write(edit.data)
+                fh.write(data)
         except OSError as exc:
             raise WriteError(f"cannot write checkpoint to {self.path}: {exc}") from exc
-        self.rounding_errors[name] = edit.rounding_error
+        self.rounding_errors[name] = err
 
 
 def write_checkpoint(
@@ -289,7 +271,7 @@ def write_checkpoint(
     handle on the base file, in chunks of at most COPY_CHUNK_BYTES, and the
     file is sized to its final length. The edited tensors' byte ranges read
     as zeros until the returned writer fills them (`write_edit`), so edits
-    can be written one at a time as they are encoded.
+    can be written one at a time as they are computed.
 
     Payload keeps the base file's byte order, so an edit-free write
     reproduces the payload bytes exactly; the header is re-emitted with
@@ -352,7 +334,7 @@ def write_checkpoint(
                 fh.truncate(data_start + cursor)
         except OSError as exc:
             raise WriteError(f"cannot write checkpoint to {out}: {exc}") from exc
-    return CheckpointWriter(path=out, slots=slots)
+    return CheckpointWriter(base=base, path=out, slots=slots)
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +372,6 @@ _DECODER_PATTERNS = [
     ("model.layers.{layer}.mlp.down_proj.weight", "mlp_down"),
 ]
 
-# biases, norms and embeddings carry no projection directions we analyze;
-# attention biases in particular are excluded on purpose
-_DECODER_EXCLUSIONS = [
-    "*.bias",
-    "*layernorm*",
-    "model.norm.weight",
-    "model.embed_tokens.weight",
-    "lm_head.weight",
-    "*rotary_emb*",
-]
-
-
 @dataclass
 class NamingProfile:
     """Ordered tensor-name templates plus exclusion globs."""
@@ -411,8 +381,20 @@ class NamingProfile:
     exclusions: list[str]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.exclusions, list) or not all(
+            isinstance(glob, str) for glob in self.exclusions
+        ):
+            raise ValidationError(
+                f"profile {self.name!r}: exclusions must be a list of strings, "
+                f"got {self.exclusions!r}"
+            )
         self._compiled: list[tuple[re.Pattern, str]] = []
         for template, kind in self.patterns:
+            if not isinstance(template, str) or not isinstance(kind, str):
+                raise ValidationError(
+                    f"profile {self.name!r}: template and kind must be strings, "
+                    f"got {template!r} and {kind!r}"
+                )
             if template.count("{layer}") != 1:
                 raise ValidationError(
                     f"profile {self.name!r}: template {template!r} needs exactly one {{layer}}"
@@ -446,11 +428,11 @@ class NamingProfile:
             )
 
 
-# qwen-style checkpoints use the llama-style names; only the echoed name differs
+# qwen-style checkpoints use the llama-style names; only the echoed name differs.
+# Every template is literal but for {layer} and ends in ".weight", so biases,
+# norms and embeddings never match one and need no exclusion globs.
 BUILTIN_PROFILES = {
-    name: NamingProfile(
-        name=name, patterns=list(_DECODER_PATTERNS), exclusions=list(_DECODER_EXCLUSIONS)
-    )
+    name: NamingProfile(name=name, patterns=list(_DECODER_PATTERNS), exclusions=[])
     for name in ("llama-style", "qwen-style")
 }
 
@@ -467,14 +449,14 @@ def load_profile(spec: str | Path) -> NamingProfile:
         )
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read profile {path}: {exc}") from exc
     try:
         patterns = [(p["template"], p["kind"]) for p in raw["patterns"]]
         return NamingProfile(
             name=str(raw.get("name", path.stem)),
             patterns=patterns,
-            exclusions=[str(e) for e in raw.get("exclusions", [])],
+            exclusions=raw.get("exclusions", []),
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed profile {path}: {exc}") from exc

@@ -648,6 +648,43 @@ def test_non_numeric_threshold_exits_2_and_writes_nothing(value, rollouts, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("role", ["thresholds", "manifest", "profile", "rollout log"])
+def test_input_file_that_is_not_utf8_exits_2_and_names_it(role, pair, rollouts, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff{"advantage": 1.0}\n')
+    out = tmp_path / "out"
+    argv = {
+        "thresholds": ["adv-stats", "--input", str(rollouts), "--bootstrap", "20",
+                       "--thresholds", str(bad), "--out", str(out)],
+        "manifest": ["run", "--manifest", str(bad)],
+        "profile": commands(pair, rollouts)["svd-diff"] + ["--profile", str(bad), "--out", str(out)],
+        "rollout log": ["adv-stats", "--input", str(bad), "--out", str(out)],
+    }[role]
+    assert cli.main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+Q_TEMPLATE = "model.layers.{layer}.self_attn.q_proj.weight"
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"patterns": [{"template": 5, "kind": "q"}]}, "template"),
+    ({"patterns": [{"template": Q_TEMPLATE, "kind": ["q"]}]}, "kind"),
+    # a string would be split into one-character globs, one of them "*"
+    ({"patterns": [{"template": Q_TEMPLATE, "kind": "q"}], "exclusions": "*.bias"}, "exclusions"),
+])
+def test_malformed_profile_field_exits_2_and_names_it(spec, named, pair, rollouts, tmp_path,
+                                                      capsys):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    argv = commands(pair, rollouts)["svd-diff"] + ["--profile", str(profile), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra, named", [
     ({"inputs": "x"}, ["inputs"]),
     ({"inputs": 5}, ["inputs"]),

@@ -201,7 +201,7 @@ def test_run_surgery_self_splice_is_identity(synth_pair, tmp_path):
     plan = _make_plan(host_path, host_path, mode="values")
     out = tmp_path / "self.safetensors"
     [report] = run_surgery(plan, [out])
-    assert report.edited_count == 6  # q,k,v + three mlp kinds; o stays default-excluded
+    assert len(report.rounding_errors) == 6  # q,k,v + three mlp kinds; o stays default-excluded
     host = open_checkpoint(host_path)
     edited = open_checkpoint(out)
     for rec in report.records:
@@ -279,7 +279,7 @@ def test_run_surgery_empty_ranks_copies_bytes(synth_pair, tmp_path):
     host_path, donor_path = synth_pair(layers=1)
     out = tmp_path / "none.safetensors"
     [report] = run_surgery(_make_plan(host_path, donor_path, ranks="top:0"), [out])
-    assert report.edited_count == 0
+    assert len(report.rounding_errors) == 0
     assert all(rec.status == "copied" for rec in report.records)
     host = open_checkpoint(host_path)
     edited = open_checkpoint(out)
@@ -398,7 +398,7 @@ def test_run_surgery_holds_no_whole_donor_triple_while_the_host_decomposes(tmp_p
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.edited_count == 1
+        assert len(report.rounding_errors) == 1
         assert peak < 5.5 * matrix_bytes, (mode, peak / matrix_bytes)
 
 

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svdsurgery import tensorstore
-from svdsurgery.errors import NumericalError, ValidationError
+from svdsurgery.errors import NumericalError, ValidationError, WriteError
 from svdsurgery.tensorstore import (
     BUILTIN_PROFILES,
     MatrixKey,
     NamingProfile,
     decode_values,
-    encode_edit,
     encode_values,
     load_matrix,
     load_profile,
@@ -239,11 +238,14 @@ def test_decode_encode_within_unit_roundoff(dtype, x):
 # writing
 
 
-def write_edited(base, edits, out):
-    """Write `base` to `out` with the encoded `edits` ({name: EncodedEdit}) in place."""
-    writer = write_checkpoint(base, {name: edit.dtype for name, edit in edits.items()}, out)
-    for name, edit in edits.items():
-        writer.write_edit(name, edit)
+def write_edited(base, edits, out, dtype=None):
+    """Write `base` to `out` with the float64 `edits` ({name: values}) in place.
+
+    Each edit is stored in its tensor's dtype, or in `dtype` when given.
+    """
+    writer = write_checkpoint(base, {name: dtype or base.index[name].dtype for name in edits}, out)
+    for name, values in edits.items():
+        writer.write_edit(name, values)
     return writer
 
 
@@ -287,9 +289,8 @@ def test_write_f32_exact_edit_roundtrips(write_container, tmp_path):
     ckpt = open_checkpoint(path)
     edit = np.array([[0.5, -2.0], [4.0, 128.0]])  # exactly representable in F32
     out = tmp_path / "edited.safetensors"
-    encoded = encode_edit(ckpt, "w", edit)
-    write_edited(ckpt, {"w": encoded}, out)
-    assert encoded.rounding_error == 0.0
+    writer = write_edited(ckpt, {"w": edit}, out)
+    assert writer.rounding_errors == {"w": 0.0}
     np.testing.assert_array_equal(load_matrix(open_checkpoint(out), "w"), edit)
 
 
@@ -299,11 +300,10 @@ def test_write_bf16_edit_rounds_to_nearest_even(write_container, tmp_path):
     ckpt = open_checkpoint(path)
     edit = rng.standard_normal((3, 5)) * 2.5
     out = tmp_path / "edited.safetensors"
-    encoded = encode_edit(ckpt, "w", edit)
-    write_edited(ckpt, {"w": encoded}, out)
+    writer = write_edited(ckpt, {"w": edit}, out)
     got = load_matrix(open_checkpoint(out), "w")
     np.testing.assert_array_equal(got, np.vectorize(bf16_oracle)(edit))
-    assert encoded.rounding_error == pytest.approx(np.max(np.abs(got - edit)))
+    assert writer.rounding_errors["w"] == pytest.approx(np.max(np.abs(got - edit)))
 
 
 def test_write_force_f32(write_container, tmp_path):
@@ -311,7 +311,7 @@ def test_write_force_f32(write_container, tmp_path):
     ckpt = open_checkpoint(path)
     edit = np.full((2, 2), 1.0 + 2.0**-12)  # not representable in BF16
     out = tmp_path / "f32.safetensors"
-    write_edited(ckpt, {"w": encode_edit(ckpt, "w", edit, force_f32=True)}, out)
+    write_edited(ckpt, {"w": edit}, out, dtype="F32")
     reopened = open_checkpoint(out)
     assert reopened.index["w"].dtype == "F32"
     np.testing.assert_array_equal(load_matrix(reopened, "w"), edit)
@@ -321,40 +321,54 @@ def test_write_rejects_bad_edits(write_container, tmp_path):
     path = write_container({"w": ("F32", np.zeros((2, 2)))})
     ckpt = open_checkpoint(path)
     out = tmp_path / "out.safetensors"
-    with pytest.raises(ValidationError, match="unknown tensor"):
-        encode_edit(ckpt, "nope", np.zeros((2, 2)))
+    writer = write_checkpoint(ckpt, {"w": "F32"}, out)
+    started = out.read_bytes()
+    with pytest.raises(ValidationError, match="no edit slot"):
+        writer.write_edit("nope", np.zeros((2, 2)))
     with pytest.raises(ValidationError, match="shape"):
-        encode_edit(ckpt, "w", np.zeros((3, 3)))
+        writer.write_edit("w", np.zeros((3, 3)))
     with pytest.raises(NumericalError, match="non-finite"):
-        encode_edit(ckpt, "w", np.full((2, 2), np.nan))
+        writer.write_edit("w", np.full((2, 2), np.nan))
     with pytest.raises(NumericalError, match="overflows F32"):
-        encode_edit(ckpt, "w", np.full((2, 2), 1e300))
+        writer.write_edit("w", np.full((2, 2), 1e300))
+    assert out.read_bytes() == started
+    assert writer.rounding_errors == {}
     half = open_checkpoint(write_container({"w": ("F16", np.zeros((2, 2)))}, name="half"))
     with pytest.raises(NumericalError, match="overflows F16"):
-        encode_edit(half, "w", np.full((2, 2), 1e5))
+        write_edited(half, {"w": np.full((2, 2), 1e5)}, tmp_path / "half-out.safetensors")
 
 
-def test_write_rejects_an_encoded_edit_that_does_not_fit(write_container, tmp_path):
+def test_write_rejects_an_edit_without_a_slot(write_container, tmp_path):
     path = write_container({"w": ("F32", np.zeros((2, 2))), "u": ("F32", np.zeros((3, 3)))})
     ckpt = open_checkpoint(path)
     out = tmp_path / "out.safetensors"
-    edit = encode_edit(ckpt, "w", np.ones((2, 2)))
     for dtypes in ({"nope": "F32"}, {"w": "I64"}):
         with pytest.raises(ValidationError, match="does not fit"):
             write_checkpoint(ckpt, dtypes, out)
     assert not out.exists()
-    writer = write_checkpoint(ckpt, {"w": "F32", "u": "F16"}, out)
-    for name in ("u", "nope"):  # a tensor of another size or dtype, and no tensor at all
-        with pytest.raises(ValidationError, match="does not fit"):
-            writer.write_edit(name, edit)
+    writer = write_checkpoint(ckpt, {"w": "F32"}, out)
+    started = out.read_bytes()
+    for name in ("u", "nope"):  # a tensor of the base left unedited, and no tensor at all
+        with pytest.raises(ValidationError, match="no edit slot"):
+            writer.write_edit(name, np.ones((3, 3)))
+    assert out.read_bytes() == started
+    assert writer.rounding_errors == {}
+
+
+def test_write_edit_into_a_removed_file_is_a_write_error(write_container, tmp_path):
+    ckpt = open_checkpoint(write_container({"w": ("F32", np.zeros((2, 2)))}))
+    out = tmp_path / "out.safetensors"
+    writer = write_checkpoint(ckpt, {"w": "F32"}, out)
+    out.unlink()
+    with pytest.raises(WriteError, match="cannot write checkpoint"):
+        writer.write_edit("w", np.ones((2, 2)))
+    assert not out.exists()
     assert writer.rounding_errors == {}
 
 
 def test_write_unwritable_path(write_container, tmp_path):
     path = write_container({"w": ("F32", np.zeros((2, 2)))})
     ckpt = open_checkpoint(path)
-    from svdsurgery.errors import WriteError
-
     with pytest.raises(WriteError):
         write_checkpoint(ckpt, {}, tmp_path / "no_such_dir" / "x.safetensors")
 
@@ -381,9 +395,9 @@ def test_write_starts_the_file_at_its_final_length_with_unedited_tensors_in_plac
         "z": ("F16", rng.standard_normal((2, 3))),
     }
     ckpt = open_checkpoint(write_container(tensors))
-    edit = encode_edit(ckpt, "w", rng.standard_normal((4, 5)), force_f32=True)
+    edit = rng.standard_normal((4, 5))
     whole = tmp_path / "whole.safetensors"
-    write_edited(ckpt, {"w": edit}, whole)
+    whole_writer = write_edited(ckpt, {"w": edit}, whole, dtype="F32")
     out = tmp_path / "started.safetensors"
     writer = write_checkpoint(ckpt, {"w": "F32"}, out)
     assert out.stat().st_size == whole.stat().st_size
@@ -394,7 +408,7 @@ def test_write_starts_the_file_at_its_final_length_with_unedited_tensors_in_plac
     assert load_raw(started, "w") == bytes(4 * 20)
     writer.write_edit("w", edit)
     assert out.read_bytes() == whole.read_bytes()
-    assert writer.rounding_errors == {"w": edit.rounding_error}
+    assert writer.rounding_errors == whole_writer.rounding_errors
 
 
 def test_write_copies_a_tensor_larger_than_one_chunk(write_container, tmp_path, monkeypatch):
@@ -498,6 +512,17 @@ def test_profile_from_file(tmp_path, write_container):
     path = write_container({"blk.5.attn_q.weight": ("F32", np.zeros((2, 2)))})
     res = resolve_keys(open_checkpoint(path), profile)
     assert [(k.layer, k.kind) for k, _ in res] == [(5, "q")]
+
+
+@pytest.mark.parametrize("patterns, exclusions", [
+    ([(5, "q")], []),
+    ([("a.{layer}.w", None)], []),
+    ([("a.{layer}.w", "q")], "*.bias"),
+    ([("a.{layer}.w", "q")], ["*.bias", 3]),
+])
+def test_profile_rejects_fields_that_are_not_strings(patterns, exclusions):
+    with pytest.raises(ValidationError, match="must be"):
+        NamingProfile(name="bad", patterns=patterns, exclusions=exclusions)
 
 
 def test_unknown_profile_rejected():
