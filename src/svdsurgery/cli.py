@@ -15,7 +15,11 @@ Every command runs its BLAS and LAPACK calls on one thread (see
 inside the decompositions and products, and with it the last bits of the
 angles and restore reports; on one thread the report bytes do not depend on
 the number of cores or on OPENBLAS_NUM_THREADS. It also saves CPU time: the
-decompositions here run no faster on two threads.
+decompositions here run no faster on two threads. The decompositions call
+NumPy's own LAPACK `dgesdd` directly (see `spectral._lapack_svd`), which
+holds one copy of each factor fewer than `np.linalg.svd`. Where NumPy
+bundles no OpenBLAS with 64-bit integers, they go through `np.linalg.svd`:
+the same report bytes, with a larger peak.
 
 svd-diff, angles, penalty and restore walk their matrices through
 `tensorstore.pair_matrices`, which gives each pair in key order with one
@@ -51,9 +55,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import datetime
-import functools
 import json
 import os
 import shutil
@@ -79,7 +81,7 @@ from .advantage import (
 from .errors import ToolkitError, ValidationError, WriteError
 from .penalty import fit_reference, penalty_value
 from .reports import write_csv, write_json
-from .spectral import delta_sigma, matrix_angles
+from .spectral import _openblas_thread_calls, delta_sigma, matrix_angles
 from .surgery import (
     DEFAULT_SURGERY_KINDS,
     LayerSelector,
@@ -459,7 +461,7 @@ def run_manifest(params: dict) -> int:
     try:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"manifest is not valid JSON: {exc}") from exc
+        raise ValidationError(f"manifest {path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"manifest {path} is not UTF-8 text: {exc}") from exc
     if not isinstance(manifest, dict) or "command" not in manifest:
@@ -626,32 +628,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _openblas_thread_calls():
-    """(get, set) of the thread count of the OpenBLAS that NumPy loaded, or None.
-
-    The library is the one NumPy's wheels bundle in `numpy.libs`; its
-    getter and setter carry the build's symbol prefix and suffix. None is
-    the only result for a NumPy built against another BLAS or an OpenBLAS
-    outside `numpy.libs`, and then the thread count is left alone.
-    """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib_path in sorted(libs.glob("libscipy_openblas*")) + sorted(libs.glob("libopenblas*")):
-        lib = ctypes.CDLL(str(lib_path))
-        for getter in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            get = getattr(lib, getter, None)
-            put = getattr(lib, getter.replace("_get_", "_set_"), None)
-            if get is not None and put is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                put.restype, put.argtypes = None, [ctypes.c_int]
-                return get, put
-    return None
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread, then restore the caller's count."""
+    """Run the block with OpenBLAS on one thread, then restore the caller's count.
+
+    The thread count is left alone where NumPy bundles no OpenBLAS
+    (`spectral._openblas_thread_calls` is None).
+    """
     calls = _openblas_thread_calls()
     if calls is None:
         yield

@@ -13,8 +13,11 @@ DEGENERATE_GAP_RATIO            1e-6     gap below this fraction of sigma_1 flag
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -73,23 +76,113 @@ def sign_canonicalize(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndar
     return u * signs, v * signs
 
 
+@functools.cache
+def _bundled_openblas() -> tuple[ctypes.CDLL, ...]:
+    """The OpenBLAS libraries NumPy's wheel bundles in `numpy.libs`, loaded on first use.
+
+    Empty for a NumPy built against another BLAS or an OpenBLAS outside
+    `numpy.libs`. Loading one that NumPy has already loaded maps nothing new.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    paths = sorted(libs.glob("libscipy_openblas*")) + sorted(libs.glob("libopenblas*"))
+    return tuple(ctypes.CDLL(str(path)) for path in paths)
+
+
+def _openblas_function(name: str, restype, argtypes: list):
+    """The function `name` of NumPy's bundled OpenBLAS, typed, or None if none exports it."""
+    for lib in _bundled_openblas():
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.restype, fn.argtypes = restype, argtypes
+            return fn
+    return None
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of the thread count of NumPy's bundled OpenBLAS, or None.
+
+    The getter and setter carry the build's symbol prefix and suffix.
+    """
+    for getter in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        get = _openblas_function(getter, ctypes.c_int, [])
+        put = _openblas_function(getter.replace("_get_", "_set_"), None, [ctypes.c_int])
+        if get is not None and put is not None:
+            return get, put
+    return None
+
+
+@functools.cache
+def _gesdd():
+    """NumPy's own LAPACK `dgesdd`, with 64-bit integers, or None.
+
+    The symbol is `scipy_dgesdd_64_` in NumPy 2.x wheels and `dgesdd_64_`
+    in 1.x wheels. Every argument but `jobz` is an array, passed by address.
+    """
+    i64, f64 = np.ctypeslib.ndpointer(np.int64), np.ctypeslib.ndpointer(np.float64, flags="F")
+    argtypes = [ctypes.c_char_p, i64, i64, f64, i64, f64, f64, i64, f64, i64, f64, i64, i64, i64]
+    for name in ("scipy_dgesdd_64_", "dgesdd_64_"):
+        fn = _openblas_function(name, None, argtypes)
+        if fn is not None:
+            return fn
+    return None
+
+
 def _lapack_svd(arr: np.ndarray, compute_uv: bool):
-    """`np.linalg.svd` of a checked matrix (thin when `compute_uv`).
+    """`np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)` of a checked matrix.
+
+    It calls NumPy's own `dgesdd` (`_gesdd`) with the arguments and
+    workspace query NumPy uses, so every byte is the same, but LAPACK writes
+    sigma, U and V^T into arrays allocated here, which are returned; NumPy
+    copies its LAPACK buffers into second arrays. The workspace and the
+    Fortran-ordered copy of `arr` are freed before U and V^T are copied to
+    the C order NumPy returns them in. Where `_gesdd` is None it calls
+    `np.linalg.svd`: the same bytes with a larger peak.
 
     Non-convergence is raised as NumericalError.
     """
-    try:
-        return np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    gesdd = _gesdd()
+    if gesdd is None:
+        try:
+            return np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"SVD did not converge: {exc}") from exc
+
+    m, n = arr.shape
+    k = min(m, n)
+    a = np.array(arr, dtype=np.float64, order="F")  # dgesdd overwrites it
+    s = np.empty(k)
+    if compute_uv:
+        jobz, u, vt, ldvt = b"S", np.empty((m, k), order="F"), np.empty((k, n), order="F"), k
+    else:  # u and vt are not referenced
+        jobz, u, vt, ldvt = b"N", np.empty(1), np.empty(1), 1
+    iwork = np.empty(8 * k, dtype=np.int64)
+    info = np.zeros(1, dtype=np.int64)
+
+    def run(work: np.ndarray, lwork: int) -> None:
+        m_, n_, ldvt_, lwork_ = (np.array([x], dtype=np.int64) for x in (m, n, ldvt, lwork))
+        gesdd(jobz, m_, n_, a, m_, s, u, m_, vt, ldvt_, work, lwork_, iwork, info)
+        if info[0] != 0:
+            raise NumericalError(f"SVD did not converge (dgesdd info={info[0]})")
+
+    query = np.empty(1)
+    run(query, -1)
+    lwork = int(query[0]) or 1
+    run(np.empty(lwork), lwork)
+    del a, iwork
+    if not compute_uv:
+        return s
+    return u.copy(), s, vt.copy()
 
 
 def svd(w: np.ndarray) -> SvdTriple:
     """Thin SVD of `w`, canonicalized; deterministic for identical input.
 
-    The column signs are flipped in place on LAPACK's own `u` and on the
-    transpose of its `vt`, so no second copy of either factor is made:
-    `u` is C-ordered and `v` F-ordered, and every entry equals
+    The factors are `np.linalg.svd`'s, byte for byte (`_lapack_svd`). The
+    column signs are flipped in place on its C-ordered `u` and on the
+    transpose of its C-ordered `vt`, so no further copy of either factor is
+    made: `u` is C-ordered and `v` F-ordered, and every entry equals
     `sign_canonicalize` of the same factors, since a flip by -1 is exact.
     """
     u, s, vt = _lapack_svd(ensure_matrix(w), compute_uv=True)

@@ -141,10 +141,10 @@ def test_nan_in_checkpoint_exits_3_and_writes_nothing(name, pair, rollouts, tmp_
 
 
 def test_svd_non_convergence_exits_3_and_writes_nothing(pair, rollouts, tmp_path, monkeypatch):
-    def not_converging(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    def not_converging(*args):
+        args[-1][0] = 1  # info > 0: the bidiagonal iteration did not converge
 
-    monkeypatch.setattr(np.linalg, "svd", not_converging)
+    monkeypatch.setattr(spectral, "_gesdd", lambda: not_converging)
     out = tmp_path / "out"
     assert cli.main(commands(pair, rollouts)["svd-diff"] + ["--out", str(out)]) == 3
     assert list(out.iterdir()) == []
@@ -504,6 +504,13 @@ def test_manifest_rejects_unknown_command_and_bad_json(tmp_path):
     path.write_text("{")
     assert cli.main(["run", "--manifest", str(path)]) == 2
     assert cli.main(["run", "--manifest", str(tmp_path / "absent.json")]) == 2
+
+
+def test_manifest_that_is_not_json_exits_2_and_names_it(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{")
+    assert cli.main(["run", "--manifest", str(path)]) == 2
+    assert f"manifest {path} is not valid JSON" in capsys.readouterr().err
 
 
 def test_manifest_missing_output_dir_exits_2(pair, tmp_path):

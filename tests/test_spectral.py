@@ -1,6 +1,10 @@
 """SVD canonicalization, drift, principal angles, Procrustes."""
 
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +124,78 @@ def test_svd_matches_sign_canonicalize_bit_for_bit_in_the_same_memory_order(shap
         assert got.tobytes() == expected.tobytes()
 
 
+def _lapack_inputs():
+    rng = np.random.default_rng(12)
+    return {
+        "tall": rng.standard_normal((40, 17)),
+        "wide": rng.standard_normal((17, 40)),
+        "square": rng.standard_normal((23, 23)),
+        "1xn": rng.standard_normal((1, 9)),
+        "nx1": rng.standard_normal((9, 1)),
+        "zero": np.zeros((6, 4)),
+        "strided": rng.standard_normal((30, 50))[::3, ::-2],
+    }
+
+
+def test_dgesdd_is_bound_wherever_numpy_bundles_an_ilp64_openblas():
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    bundled = [*libs.glob("libscipy_openblas64_*"), *libs.glob("libopenblas64_*")]
+    if not bundled:
+        pytest.skip("NumPy bundles no OpenBLAS with 64-bit integers here")
+    assert spectral._gesdd() is not None, f"no dgesdd found in {bundled}"
+
+
+@pytest.fixture(params=["binding", "fallback"])
+def lapack_path(request, monkeypatch):
+    """Run the test through NumPy's own dgesdd, or with the `np.linalg.svd` fallback forced."""
+    if request.param == "fallback":
+        monkeypatch.setattr(spectral, "_gesdd", lambda: None)
+    elif spectral._gesdd() is None:
+        pytest.skip("no dgesdd binding here")
+    return request.param
+
+
+@pytest.mark.parametrize("name", list(_lapack_inputs()))
+def test_lapack_svd_is_numpy_svd_bit_for_bit_in_the_same_layout(name, lapack_path):
+    w = _lapack_inputs()[name]
+    before = w.copy()
+    got = spectral._lapack_svd(w, compute_uv=True)
+    want = np.linalg.svd(w, full_matrices=False)
+    got_values = spectral._lapack_svd(w, compute_uv=False)
+    want_values = np.linalg.svd(w, compute_uv=False)
+    for g, e in [*zip(got, want), (got_values, want_values)]:
+        assert (g.dtype, g.shape, g.strides) == (e.dtype, e.shape, e.strides)
+        assert g.tobytes() == e.tobytes()
+    assert w.tobytes() == before.tobytes()  # the input is copied, never overwritten
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_one_svd_peak_is_at_most_five_times_its_matrix():
+    # np.linalg.svd holds U and V^T twice (its LAPACK buffers and the arrays
+    # it returns): about 5.5x at this shape on one OpenBLAS thread; the
+    # binding holds them once, about 4.2x
+    script = """
+import numpy as np
+from svdsurgery import spectral
+
+def hwm_bytes():
+    with open("/proc/self/status") as status:
+        return 1024 * next(int(l.split()[1]) for l in status if l.startswith("VmHWM"))
+
+spectral.svd(np.eye(3, 2))  # loads the library outside the measurement
+w = np.random.default_rng(0).standard_normal((1376, 512))
+before = hwm_bytes()
+spectral.svd(w)
+print((hwm_bytes() - before) / w.nbytes)
+"""
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True)
+    assert float(done.stdout) <= 5.0
+
+
 # ---------------------------------------------------------------------------
 # delta sigma
 
@@ -163,10 +239,10 @@ def test_rel_drift_is_undefined_only_when_a_alone_is_zero():
 
 
 def test_svd_non_convergence_is_a_numerical_error(monkeypatch):
-    def not_converging(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    def not_converging(*args):
+        args[-1][0] = 1  # info > 0: the bidiagonal iteration did not converge
 
-    monkeypatch.setattr(np.linalg, "svd", not_converging)
+    monkeypatch.setattr(spectral, "_gesdd", lambda: not_converging)
     w, tall = np.eye(3), np.eye(3, 2)  # a square pair's angles need no decomposition
     for call in (lambda: svd(w), lambda: delta_sigma(w, w),
                  lambda: matrix_angles(lambda: tall, lambda: tall),
@@ -175,12 +251,24 @@ def test_svd_non_convergence_is_a_numerical_error(monkeypatch):
             call()
 
 
+def test_fallback_non_convergence_is_a_numerical_error(monkeypatch):
+    def not_converging(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(spectral, "_gesdd", lambda: None)
+    monkeypatch.setattr(np.linalg, "svd", not_converging)
+    for compute_uv in (True, False):
+        with pytest.raises(NumericalError, match="did not converge"):
+            spectral._lapack_svd(np.eye(3), compute_uv)
+
+
 def test_square_pair_angles_are_exact_without_a_decomposition(monkeypatch):
     def not_called(*args, **kwargs):
         raise AssertionError("a square pair needs no decomposition")
 
     rng = np.random.default_rng(5)
     a, b = rng.standard_normal((2, 6, 6))
+    monkeypatch.setattr(spectral, "_gesdd", lambda: not_called)
     monkeypatch.setattr(np.linalg, "svd", not_called)
     left, right = matrix_angles(lambda: a, lambda: b)
     for spec, side in ((left, "left"), (right, "right")):
