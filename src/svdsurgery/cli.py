@@ -25,6 +25,12 @@ svd-diff, angles, penalty and restore walk their matrices through
 `tensorstore.pair_matrices`, which gives each pair in key order with one
 loader per checkpoint. Each command decides when to load: svd-diff holds
 a pair's two matrices; the others drop each matrix before the next loads.
+Angles, penalty and restore also hand each decoded matrix over to
+`spectral.svd` as its only reference, so it is freed as soon as LAPACK's
+copy of it is made, one matrix below holding it through the decomposition.
+That needs CPython 3.11 or later: on 3.10 the caller keeps the matrix until
+the decomposition returns, so the peak is one matrix higher, with the same
+report bytes.
 
 A manifest is a JSON object naming a `command` (svd-diff, angles, restore,
 adv-stats or penalty) plus that command's parameters:

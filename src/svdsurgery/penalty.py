@@ -37,13 +37,17 @@ def fit_reference(w_ref: np.ndarray, rank: int) -> PenaltyRef:
     """Extract the top-`rank` singular subspaces of `w_ref`.
 
     The subspaces are frozen here and never re-fit; a warning flags a
-    near-degenerate boundary where the chosen basis is arbitrary.
+    near-degenerate boundary where the chosen basis is arbitrary. `w_ref`
+    is never written. Passed as the only reference, as in
+    `fit_reference(load(), rank)`, it is handed over to `svd` and freed
+    before the decomposition allocates (CPython 3.11 or later; see `svd`).
     """
-    w_ref = ensure_matrix(w_ref, "reference matrix")
-    thin = min(w_ref.shape)
+    held = [ensure_matrix(w_ref, "reference matrix")]
+    del w_ref
+    thin = min(held[0].shape)
     if not 1 <= rank <= thin:
         raise ValidationError(f"rank {rank} out of range [1, {thin}]")
-    t = svd(w_ref)
+    t = svd(held.pop())
     sigma_top = float(t.sigma[0])
     next_sigma = float(t.sigma[rank]) if rank < thin else 0.0
     gap = float(t.sigma[rank - 1]) - next_sigma

@@ -135,10 +135,14 @@ def _lapack_svd(arr: np.ndarray, compute_uv: bool):
     It calls NumPy's own `dgesdd` (`_gesdd`) with the arguments and
     workspace query NumPy uses, so every byte is the same, but LAPACK writes
     sigma, U and V^T into arrays allocated here, which are returned; NumPy
-    copies its LAPACK buffers into second arrays. The workspace and the
-    Fortran-ordered copy of `arr` are freed before U and V^T are copied to
-    the C order NumPy returns them in. Where `_gesdd` is None it calls
-    `np.linalg.svd`: the same bytes with a larger peak.
+    copies its LAPACK buffers into second arrays. `arr` is never written:
+    dgesdd overwrites a Fortran-ordered copy of it. Once the copy is made,
+    this call drops its reference to `arr`, before sigma, U, V^T and the
+    workspace are allocated, so an `arr` handed over as the only reference
+    (see `svd`) is freed there. The workspace and the copy are freed before
+    U and V^T are copied to the C order NumPy returns them in. Where
+    `_gesdd` is None it calls `np.linalg.svd` on `arr` itself: the same
+    bytes with a larger peak.
 
     Non-convergence is raised as NumericalError.
     """
@@ -152,6 +156,7 @@ def _lapack_svd(arr: np.ndarray, compute_uv: bool):
     m, n = arr.shape
     k = min(m, n)
     a = np.array(arr, dtype=np.float64, order="F")  # dgesdd overwrites it
+    del arr
     s = np.empty(k)
     if compute_uv:
         jobz, u, vt, ldvt = b"S", np.empty((m, k), order="F"), np.empty((k, n), order="F"), k
@@ -184,8 +189,20 @@ def svd(w: np.ndarray) -> SvdTriple:
     transpose of its C-ordered `vt`, so no further copy of either factor is
     made: `u` is C-ordered and `v` F-ordered, and every entry equals
     `sign_canonicalize` of the same factors, since a flip by -1 is exact.
+
+    `w` is never written. A caller that passes `w` as its only reference,
+    as in `svd(load())`, hands it over: `svd` keeps no reference of its own,
+    so `w` is freed once `_lapack_svd` has copied it for LAPACK, and does
+    not live through the decomposition. A caller that holds `w` keeps it,
+    and the decomposition then rises about one matrix higher. The hand-over
+    needs CPython 3.11 or later, where a call from Python code to a Python
+    function moves its argument references into the callee; on 3.10 the
+    caller's stack holds `w` until the call returns, so the peak is that of
+    a held `w`, with the same bytes.
     """
-    u, s, vt = _lapack_svd(ensure_matrix(w), compute_uv=True)
+    held = [ensure_matrix(w)]
+    del w
+    u, s, vt = _lapack_svd(held.pop(), compute_uv=True)
     v = vt.T
     signs = _canonical_signs(u)
     u *= signs
@@ -326,17 +343,19 @@ def _partial_basis(
 
     The basis is the left one (`u`) of a tall matrix, the right one (`v`)
     of a wide matrix, and None for a square matrix, which is not
-    decomposed. Nothing else of the matrix or its decomposition outlives
-    the call.
+    decomposed. The loaded matrix is handed over to `svd` as the only
+    reference, so it is freed before LAPACK's factors are allocated (see
+    `svd`). Nothing else of the matrix or its decomposition outlives the
+    call.
     """
-    w = ensure_matrix(load(), what)
-    if shape is not None and w.shape != shape:
-        raise ValidationError(f"shape mismatch: {shape} vs {w.shape}")
-    m, n = w.shape
+    held = [ensure_matrix(load(), what)]
+    m, n = held[0].shape
+    if shape is not None and (m, n) != shape:
+        raise ValidationError(f"shape mismatch: {shape} vs {(m, n)}")
     if m == n:
-        return w.shape, None
-    t = svd(w)
-    return w.shape, (t.u if m > n else t.v)
+        return (m, n), None
+    t = svd(held.pop())
+    return (m, n), (t.u if m > n else t.v)
 
 
 def matrix_angles(
@@ -351,7 +370,10 @@ def matrix_angles(
     (cosines one), so it is filled in without a decomposition. A square
     pair is loaded and checked but not decomposed. A rectangular pair is
     decomposed for the angles of its other side: A first, keeping only
-    that side's basis, then B.
+    that side's basis, then B. Each loaded matrix is handed over to `svd`,
+    so it is freed before its decomposition allocates (CPython 3.11 or
+    later; see `svd`); for that, a loader should return an array that no
+    one else holds, as `tensorstore.load_matrix` does.
     """
     shape, basis_a = _partial_basis(load_a, "A")
     _, basis_b = _partial_basis(load_b, "B", shape)

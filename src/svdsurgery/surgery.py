@@ -208,6 +208,9 @@ def mixed_matrix(
     vectors mode: host values with donor u/v columns on the selected ranks;
     the mixed column sets are used as-is. The donor triple may hold only
     leading columns; a selected rank beyond them is a ValidationError.
+    Vectors mode scales its private copy of the host `u` by sigma in place,
+    so the product needs no third m x r array; the bytes equal
+    `(u * sigma) @ v.T`. Neither triple is written.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
@@ -227,7 +230,8 @@ def mixed_matrix(
     v = host_t.v.copy()
     u[:, ranks] = donor_t.u[:, ranks]
     v[:, ranks] = donor_t.v[:, ranks]
-    return (u * host_t.sigma) @ v.T
+    u *= host_t.sigma
+    return u @ v.T
 
 
 def _boundary_degenerate(sigma: np.ndarray, ranks: np.ndarray) -> bool:
@@ -324,9 +328,14 @@ def _splice_target(
     plus copies of its leading `u` and `v` columns up to the highest rank
     any grid point selects (none in values mode). Neither float64 matrix is
     held across the other's decomposition: the target's loaders decode each
-    again for every grid point's distances. Each mixed matrix goes to its
-    grid point's writer as soon as its record is taken, so no float64
-    result outlives its grid point.
+    again for every grid point's distances. Each matrix is handed over to
+    `svd` as the only reference, so it is freed before LAPACK's factors are
+    allocated (CPython 3.11 or later; see `svd`). A grid point's distances
+    subtract its mixed matrix into the freshly decoded host, and then into
+    the freshly decoded donor, each dropped before the next decode, so no
+    m x n difference is allocated. Each mixed matrix goes to its grid
+    point's writer as soon as its record is taken, so no float64 result
+    outlives its grid point.
     """
     key, host_name, _, load_host, load_donor = target
     if not any(ranks.size for ranks, _ in points):
@@ -347,11 +356,15 @@ def _splice_target(
             _aligned_donor(host_t, donor_t, ranks) if plan.align == "procrustes" else donor_t
         )
         w_out = mixed_matrix(host_t, point_donor_t, plan.mode, ranks)
-        diff = w_out - load_host()
+        diff = load_host()
+        np.subtract(w_out, diff, out=diff)
         fro_vs_host = float(np.linalg.norm(diff))
         max_entry_change = float(np.max(np.abs(diff, out=diff)))
         del diff
-        fro_vs_donor = float(np.linalg.norm(w_out - load_donor()))
+        diff = load_donor()
+        np.subtract(w_out, diff, out=diff)
+        fro_vs_donor = float(np.linalg.norm(diff))
+        del diff
         records.append(MatrixRecord(
             key=key,
             tensor=host_name,

@@ -47,7 +47,9 @@ COPY_CHUNK_BYTES = 1 << 20
 
 
 def _bf16_bits_to_f32(bits: np.ndarray) -> np.ndarray:
-    return (bits.astype(np.uint32) << np.uint32(16)).view(np.float32)
+    wide = bits.astype(np.uint32)
+    wide <<= np.uint32(16)  # in place: one uint32 temporary, not two
+    return wide.view(np.float32)
 
 
 def _f32_to_bf16_bits(values: np.ndarray) -> np.ndarray:

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -108,3 +111,83 @@ def synth_pair(tmp_path):
         return tuple(paths)
 
     return _build
+
+
+#: a matrix passed as the only reference is freed inside the callee only
+#: where CPython moves call arguments into the callee's frame
+needs_handover = pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before CPython 3.11 the caller's stack holds every call argument until the call "
+           "returns, so a handed-over matrix cannot be freed during its decomposition",
+)
+
+
+class HandOverWatch:
+    """Records matrices as they are handed over and checks each dgesdd call against them."""
+
+    def __init__(self, gesdd):
+        self.refs: list[weakref.ref] = []
+        self.calls = 0
+        self._gesdd = gesdd
+
+    def fresh(self, w: np.ndarray) -> np.ndarray:
+        """A copy of `w` that only the caller holds, watched from now on."""
+        w = np.array(w, dtype=np.float64)
+        self.refs.append(weakref.ref(w))
+        return w
+
+    def loader(self, load):
+        """`load`, with each matrix it returns watched."""
+        return lambda *args: self.fresh(load(*args))
+
+    def gesdd(self, *args) -> None:
+        alive = sum(ref() is not None for ref in self.refs)
+        assert alive == 0, f"{alive} handed-over matrices alive at dgesdd call {self.calls + 1}"
+        self.calls += 1
+        self._gesdd(*args)
+
+
+@pytest.fixture
+def handover_watch(monkeypatch):
+    """Replace `spectral._gesdd` by a fake that fails if a watched matrix is still alive.
+
+    The fake runs NumPy's own dgesdd after the check, so every result is
+    the real one.
+    """
+    from svdsurgery import spectral
+
+    real = spectral._gesdd()
+    if real is None:
+        pytest.skip("no dgesdd binding here")
+    watch = HandOverWatch(real)
+    monkeypatch.setattr(spectral, "_gesdd", lambda: watch.gesdd)
+    return watch
+
+
+TALL_NAME = "model.layers.0.mlp.up_proj.weight"
+
+
+@pytest.fixture
+def tall_pair(tmp_path):
+    """An F32 host and donor, each holding one 600x200 matrix `TALL_NAME`.
+
+    Returns the two paths and the size of one float64 matrix in bytes.
+    """
+    m, n = 600, 200
+    rng = np.random.default_rng(5)
+    paths = []
+    for tag, sigmas in (("host", np.linspace(10.0, 1.0, n)), ("donor", np.linspace(8.0, 2.0, n))):
+        path = tmp_path / f"{tag}.safetensors"
+        path.write_bytes(pack_container({TALL_NAME: ("F32", spectral_matrix(rng, m, n, sigmas))}))
+        paths.append(path)
+    return paths[0], paths[1], m * n * 8
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of `call()`: the most it held at once of what it allocated."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

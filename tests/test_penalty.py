@@ -5,8 +5,9 @@ import pytest
 
 from svdsurgery.errors import ValidationError
 from svdsurgery.penalty import fit_reference, penalty_grad, penalty_value
+from svdsurgery.tensorstore import load_matrix, open_checkpoint
 
-from conftest import spectral_matrix
+from conftest import TALL_NAME, needs_handover, spectral_matrix, traced_peak
 
 
 def fd_gradient(w, ref, h=1e-6):
@@ -26,6 +27,30 @@ def rotation2(theta):
 
 # ---------------------------------------------------------------------------
 # reference fitting
+
+
+@needs_handover
+def test_fit_reference_hands_its_matrix_over_to_svd(handover_watch):
+    w = spectral_matrix(np.random.default_rng(2), 12, 7, np.linspace(5.0, 1.0, 7))
+    ref = fit_reference(handover_watch.fresh(w), 3)
+    assert handover_watch.calls == 2  # workspace query and run
+    assert ref.shape == (12, 7)
+
+
+def test_fit_reference_leaves_a_held_matrix_unchanged():
+    w = spectral_matrix(np.random.default_rng(2), 12, 7, np.linspace(5.0, 1.0, 7))
+    before = w.copy()
+    fit_reference(w, 3)
+    assert w.tobytes() == before.tobytes()
+
+
+@needs_handover
+def test_fit_reference_peak_is_at_most_4_2_matrices(tall_pair):
+    # with the matrix held through its decomposition, about 4.7
+    host_path, _, matrix_bytes = tall_pair
+    host = open_checkpoint(host_path)
+    peak = traced_peak(lambda: fit_reference(load_matrix(host, TALL_NAME), 16))
+    assert peak <= 4.2 * matrix_bytes, peak / matrix_bytes
 
 
 def test_fit_reference_diagonal():

@@ -23,8 +23,9 @@ from svdsurgery.spectral import (
     sign_canonicalize,
     svd,
 )
+from svdsurgery.tensorstore import load_matrix, open_checkpoint
 
-from conftest import reconstruct, spectral_matrix
+from conftest import TALL_NAME, needs_handover, reconstruct, spectral_matrix, traced_peak
 
 
 def plane_rotation(m: int, i: int, j: int, theta: float) -> np.ndarray:
@@ -196,6 +197,50 @@ print((hwm_bytes() - before) / w.nbytes)
     assert float(done.stdout) <= 5.0
 
 
+@needs_handover
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_a_handed_over_svd_peak_is_at_most_3_6_times_its_matrix():
+    # the matrix is freed once LAPACK's copy of it is made, so one svd rises
+    # about one matrix less than over a held matrix: about 3.1x against 4.2x
+    script = """
+import numpy as np
+from svdsurgery import spectral
+
+def hwm_bytes():
+    with open("/proc/self/status") as status:
+        return 1024 * next(int(l.split()[1]) for l in status if l.startswith("VmHWM"))
+
+spectral.svd(np.eye(3, 2))  # loads the library outside the measurement
+held = [np.random.default_rng(0).standard_normal((1376, 512))]
+nbytes = held[0].nbytes
+before = hwm_bytes()
+spectral.svd(held.pop())
+print((hwm_bytes() - before) / nbytes)
+"""
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True)
+    assert float(done.stdout) <= 3.6
+
+
+@needs_handover
+def test_svd_frees_a_handed_over_matrix_before_dgesdd(handover_watch):
+    w = np.random.default_rng(3).standard_normal((30, 12))
+    t = svd(handover_watch.fresh(w))
+    assert handover_watch.calls == 2  # workspace query and run
+    assert np.allclose(reconstruct(t), w)
+
+
+def test_svd_leaves_a_held_matrix_alive_and_unchanged(lapack_path):
+    w = np.random.default_rng(3).standard_normal((30, 12))
+    before, ref = w.copy(), weakref.ref(w)
+    svd(w)
+    assert ref() is w
+    assert w.tobytes() == before.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # delta sigma
 
@@ -299,6 +344,29 @@ def test_tall_pair_drops_a_before_b_is_decomposed(monkeypatch):
     left, _ = matrix_angles(load_a, lambda: b.copy())
     assert a_alive == [True, False]
     assert left.max_rad > 1e-3
+
+
+@needs_handover
+@pytest.mark.parametrize("shape", [(9, 5), (5, 9)])
+def test_matrix_angles_hands_each_matrix_over_to_its_svd(shape, handover_watch):
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal(shape)
+    b = a + 0.1 * rng.standard_normal(shape)
+    matrix_angles(handover_watch.loader(lambda: a), handover_watch.loader(lambda: b))
+    assert len(handover_watch.refs) == 2
+    # a workspace query and a run for A, for B, and for each of principal_angles'
+    # two values-only decompositions
+    assert handover_watch.calls == 8
+
+
+@needs_handover
+def test_matrix_angles_peak_is_at_most_5_2_matrices(tall_pair):
+    # with each matrix held through its own decomposition, about 5.7
+    host_path, donor_path, matrix_bytes = tall_pair
+    host, donor = open_checkpoint(host_path), open_checkpoint(donor_path)
+    peak = traced_peak(lambda: matrix_angles(lambda: load_matrix(host, TALL_NAME),
+                                             lambda: load_matrix(donor, TALL_NAME)))
+    assert peak <= 5.2 * matrix_bytes, peak / matrix_bytes
 
 
 def test_pair_of_different_shapes_is_a_validation_error():

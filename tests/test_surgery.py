@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from svdsurgery import surgery
+from svdsurgery import surgery, tensorstore
 from svdsurgery.errors import NumericalError, ValidationError
 from svdsurgery.spectral import SvdTriple, matrix_angles, principal_angles, svd
 from svdsurgery.surgery import (
@@ -18,7 +18,7 @@ from svdsurgery.surgery import (
 )
 from svdsurgery.tensorstore import load_matrix, load_profile, open_checkpoint
 
-from conftest import pack_container, reconstruct, spectral_matrix
+from conftest import needs_handover, pack_container, reconstruct, spectral_matrix, traced_peak
 
 
 def rotation2(theta_deg: float) -> np.ndarray:
@@ -377,19 +377,11 @@ def test_run_surgery_refuses_one_output_for_two_grid_points(synth_pair, tmp_path
     assert sorted(p.name for p in tmp_path.iterdir()) == ["donor.safetensors", "host.safetensors"]
 
 
-def test_run_surgery_holds_no_whole_donor_triple_while_the_host_decomposes(tmp_path):
+def test_run_surgery_holds_no_whole_donor_triple_while_the_host_decomposes(tall_pair, tmp_path):
     # one tall 600x200 target. Holding the donor's whole triple through the
     # host's decomposition and the mixing peaked at about 7.2 matrices; the
     # donor's leading columns alone stay more than one host `u` below that
-    m, n = 600, 200
-    name = "model.layers.0.mlp.up_proj.weight"
-    rng = np.random.default_rng(5)
-    paths = []
-    for tag, sigmas in (("host", np.linspace(10.0, 1.0, n)), ("donor", np.linspace(8.0, 2.0, n))):
-        path = tmp_path / f"{tag}.safetensors"
-        path.write_bytes(pack_container({name: ("F32", spectral_matrix(rng, m, n, sigmas))}))
-        paths.append(path)
-    matrix_bytes = m * n * 8
+    *paths, matrix_bytes = tall_pair
     for mode in ("vectors", "values"):
         plan = _make_plan(*paths, mode=mode, ranks="top:2")
         tracemalloc.start()
@@ -400,6 +392,70 @@ def test_run_surgery_holds_no_whole_donor_triple_while_the_host_decomposes(tmp_p
             tracemalloc.stop()
         assert len(report.rounding_errors) == 1
         assert peak < 5.5 * matrix_bytes, (mode, peak / matrix_bytes)
+
+
+@needs_handover
+@pytest.mark.parametrize("mode", ["vectors", "values"])
+def test_restore_hands_each_decoded_matrix_over_to_its_svd(mode, tall_pair, handover_watch,
+                                                           tmp_path, monkeypatch):
+    # every load of host and donor is watched: the two decompositions and
+    # the later distance loads alike
+    monkeypatch.setattr(tensorstore, "load_matrix", handover_watch.loader(load_matrix))
+    plan = _make_plan(*tall_pair[:2], mode=mode, ranks="top:2")
+    [report] = run_surgery(plan, [tmp_path / "out.safetensors"])
+    assert report.records[0].status == "edited"
+    assert handover_watch.calls == 4  # workspace query and run, host and donor
+    assert len(handover_watch.refs) == 4  # host and donor decomposed, then reloaded
+
+
+@needs_handover
+@pytest.mark.parametrize("mode", ["vectors", "values"])
+def test_restore_peak_is_at_most_4_3_matrices(mode, tall_pair, tmp_path):
+    # with each matrix held through its own decomposition, and two m x n
+    # differences for the distances, it peaked at about 4.7 matrices
+    *paths, matrix_bytes = tall_pair
+    plan = _make_plan(*paths, mode=mode, ranks="top:2")
+    peak = traced_peak(lambda: run_surgery(plan, [tmp_path / "out.safetensors"]))
+    assert peak <= 4.3 * matrix_bytes, peak / matrix_bytes
+
+
+def test_mixed_matrix_vectors_mode_is_the_scaled_product_bit_for_bit():
+    rng = np.random.default_rng(9)
+    host_t, donor_t = svd(rng.standard_normal((40, 17))), svd(rng.standard_normal((40, 17)))
+    ranks = np.array([0, 3, 4, 11])
+    u, v = host_t.u.copy(), host_t.v.copy()
+    u[:, ranks] = donor_t.u[:, ranks]
+    v[:, ranks] = donor_t.v[:, ranks]
+    want = (u * host_t.sigma) @ v.T
+    host_u = host_t.u.copy()
+    got = mixed_matrix(host_t, donor_t, "vectors", ranks)
+    assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+    assert got.tobytes() == want.tobytes()
+    assert host_t.u.tobytes() == host_u.tobytes()
+
+
+class _KeptEdits:
+    """A stand-in for a CheckpointWriter that keeps each edit it is given."""
+
+    def __init__(self):
+        self.edits = {}
+
+    def write_edit(self, name, w):
+        self.edits[name] = w.copy()
+
+
+@pytest.mark.parametrize("mode", ["vectors", "values"])
+def test_splice_distances_are_the_plain_differences_bit_for_bit(mode, synth_pair):
+    plan = _make_plan(*synth_pair(layers=1), mode=mode, ranks="top:3")
+    for target, ranks in plan.targets:
+        key, host_name, _, load_host, load_donor = target
+        writer = _KeptEdits()
+        [record] = surgery._splice_target(plan, target, [(ranks[0], writer)])
+        w_out = writer.edits[host_name]
+        diff = w_out - load_host()
+        want = (np.linalg.norm(diff), np.max(np.abs(diff)), np.linalg.norm(w_out - load_donor()))
+        got = (record.fro_vs_host, record.max_entry_change, record.fro_vs_donor)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want], key.label
 
 
 def test_run_surgery_refuses_to_write_over_its_host(synth_pair, tmp_path):
