@@ -11,13 +11,13 @@ output files. Reports are byte-deterministic for a fixed manifest, inputs,
 and seed; pass --stamp to embed a timestamp.
 
 Every command runs its BLAS and LAPACK calls on one thread (see
-`_one_blas_thread`). A second OpenBLAS thread changes the summation order
-inside the decompositions and products, and with it the last bits of the
-angles and restore reports; on one thread the report bytes do not depend on
-the number of cores or on OPENBLAS_NUM_THREADS. It also saves CPU time: the
-decompositions here run no faster on two threads. The decompositions call
-NumPy's own LAPACK `dgesdd` directly (see `spectral._lapack_svd`), which
-holds one copy of each factor fewer than `np.linalg.svd`. Where NumPy
+`spectral.one_blas_thread`). A second OpenBLAS thread changes the summation
+order inside the decompositions and products, and with it the last bits of
+the angles and restore reports; on one thread the report bytes do not depend
+on the number of cores or on OPENBLAS_NUM_THREADS. It also saves CPU time:
+the decompositions here run no faster on two threads. The decompositions
+call NumPy's own LAPACKE `dgesdd` directly (see `spectral._lapack_svd`),
+which holds one copy of each factor fewer than `np.linalg.svd`. Where NumPy
 bundles no OpenBLAS with 64-bit integers, they go through `np.linalg.svd`:
 the same report bytes, with a larger peak.
 
@@ -87,7 +87,7 @@ from .advantage import (
 from .errors import ToolkitError, ValidationError, WriteError
 from .penalty import fit_reference, penalty_value
 from .reports import write_csv, write_json
-from .spectral import _openblas_thread_calls, delta_sigma, matrix_angles
+from .spectral import delta_sigma, matrix_angles, one_blas_thread
 from .surgery import (
     DEFAULT_SURGERY_KINDS,
     LayerSelector,
@@ -147,9 +147,9 @@ def _write_table(path: Path, header: list[str], rows: list[tuple], key_text) -> 
     return [{"key": key_text(k), **dict(zip(header, vals))} for k, *vals in rows]
 
 
-def _present_pairs(ckpt_a, ckpt_b, profile) -> list[tuple]:
-    """The `pair_matrices` walk without the keys missing from the second checkpoint."""
-    pairs = pair_matrices(ckpt_a, ckpt_b, profile, lambda key: True)
+def _present_pairs(ckpt_a, ckpt_b, profile, kinds=None) -> list[tuple]:
+    """The `pair_matrices` walk, of `kinds` if given, without the keys the second file lacks."""
+    pairs = pair_matrices(ckpt_a, ckpt_b, profile, kinds)
     pairs = [pair for pair in pairs if pair[2] is not None]
     if not pairs:
         raise ValidationError(
@@ -363,16 +363,13 @@ def run_adv_stats(params: dict) -> int:
 def run_penalty(params: dict) -> int:
     ckpt_ref, ckpt_cur = open_checkpoint(params["ref"]), open_checkpoint(params["current"])
     profile = load_profile(params["profile"])
-    profile.check_kinds(params["kinds"])
-    pairs = _present_pairs(ckpt_ref, ckpt_cur, profile)
+    pairs = _present_pairs(ckpt_ref, ckpt_cur, profile, params["kinds"])
     rank = params["rank"]
     if rank < 1:
         raise ValidationError(f"rank must be >= 1, got {rank}")
     rows = []
     per_kind: dict[str, float] = {}
     for key, name_ref, _, load_ref, load_cur in pairs:
-        if key.kind not in params["kinds"]:
-            continue
         rank_used = min(rank, *ckpt_ref.index[name_ref].shape)
         # one matrix at a time: the reference is fitted and dropped before the current loads
         with warnings.catch_warnings():
@@ -382,8 +379,6 @@ def run_penalty(params: dict) -> int:
         rows.append((key, name_ref, rank_used, value, ref.degenerate))
         per_kind[key.kind] = per_kind.get(key.kind, 0.0) + value
         del ref
-    if not rows:
-        raise ValidationError("no matrices selected; check --kinds against the profile")
 
     payload = _base_report("penalty", params["stamp"])
     payload.update(
@@ -634,31 +629,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread, then restore the caller's count.
-
-    The thread count is left alone where NumPy bundles no OpenBLAS
-    (`spectral._openblas_thread_calls` is None).
-    """
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 def main(argv=None) -> int:
     params = vars(_build_parser().parse_args(argv))
     runner = params.pop("runner")
     try:
-        with _one_blas_thread():
+        with one_blas_thread():
             return runner(params)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

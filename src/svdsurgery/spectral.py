@@ -13,6 +13,7 @@ DEGENERATE_GAP_RATIO            1e-6     gap below this fraction of sigma_1 flag
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 from collections.abc import Callable
@@ -113,17 +114,34 @@ def _openblas_thread_calls():
     return None
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore the caller's count.
+
+    The thread count is left alone where NumPy bundles no OpenBLAS
+    (`_openblas_thread_calls` is None).
+    """
+    get, put = _openblas_thread_calls() or (lambda: None, lambda count: None)
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 @functools.cache
 def _gesdd():
-    """NumPy's own LAPACK `dgesdd`, with 64-bit integers, or None.
+    """NumPy's own LAPACKE `dgesdd` wrapper, with 64-bit integers, or None.
 
-    The symbol is `scipy_dgesdd_64_` in NumPy 2.x wheels and `dgesdd_64_`
-    in 1.x wheels. Every argument but `jobz` is an array, passed by address.
+    The symbol is `scipy_LAPACKE_dgesdd64_` in NumPy 2.x wheels and
+    `LAPACKE_dgesdd64_` in 1.x wheels. It takes scalars by value, returns
+    `info`, and owns the workspace: it queries, allocates and frees it.
     """
-    i64, f64 = np.ctypeslib.ndpointer(np.int64), np.ctypeslib.ndpointer(np.float64, flags="F")
-    argtypes = [ctypes.c_char_p, i64, i64, f64, i64, f64, f64, i64, f64, i64, f64, i64, i64, i64]
-    for name in ("scipy_dgesdd_64_", "dgesdd_64_"):
-        fn = _openblas_function(name, None, argtypes)
+    i64, f64 = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, flags="F")
+    argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, f64, i64, f64, f64, i64, f64, i64]
+    for name in ("scipy_LAPACKE_dgesdd64_", "LAPACKE_dgesdd64_"):
+        fn = _openblas_function(name, i64, argtypes)
         if fn is not None:
             return fn
     return None
@@ -132,19 +150,19 @@ def _gesdd():
 def _lapack_svd(arr: np.ndarray, compute_uv: bool):
     """`np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)` of a checked matrix.
 
-    It calls NumPy's own `dgesdd` (`_gesdd`) with the arguments and
-    workspace query NumPy uses, so every byte is the same, but LAPACK writes
-    sigma, U and V^T into arrays allocated here, which are returned; NumPy
-    copies its LAPACK buffers into second arrays. `arr` is never written:
-    dgesdd overwrites a Fortran-ordered copy of it. Once the copy is made,
-    this call drops its reference to `arr`, before sigma, U, V^T and the
-    workspace are allocated, so an `arr` handed over as the only reference
-    (see `svd`) is freed there. The workspace and the copy are freed before
-    U and V^T are copied to the C order NumPy returns them in. Where
-    `_gesdd` is None it calls `np.linalg.svd` on `arr` itself: the same
-    bytes with a larger peak.
+    It calls NumPy's own `dgesdd` column-major through LAPACKE (`_gesdd`),
+    which sizes the workspace by the query NumPy runs, so every byte is the
+    same, but LAPACK writes sigma, U and V^T into arrays allocated here,
+    which are returned; NumPy copies its LAPACK buffers into second arrays.
+    `arr` is never written: dgesdd overwrites a Fortran-ordered copy of it.
+    Once the copy is made, this call drops its reference to `arr`, before
+    sigma, U, V^T and the workspace are allocated, so an `arr` handed over
+    as the only reference (see `svd`) is freed there. The workspace and the
+    copy are freed before U and V^T are copied to the C order NumPy returns
+    them in. Where `_gesdd` is None it calls `np.linalg.svd` on `arr`
+    itself: the same bytes with a larger peak.
 
-    Non-convergence is raised as NumericalError.
+    A non-zero `info` (non-convergence) is raised as NumericalError.
     """
     gesdd = _gesdd()
     if gesdd is None:
@@ -162,20 +180,10 @@ def _lapack_svd(arr: np.ndarray, compute_uv: bool):
         jobz, u, vt, ldvt = b"S", np.empty((m, k), order="F"), np.empty((k, n), order="F"), k
     else:  # u and vt are not referenced
         jobz, u, vt, ldvt = b"N", np.empty(1), np.empty(1), 1
-    iwork = np.empty(8 * k, dtype=np.int64)
-    info = np.zeros(1, dtype=np.int64)
-
-    def run(work: np.ndarray, lwork: int) -> None:
-        m_, n_, ldvt_, lwork_ = (np.array([x], dtype=np.int64) for x in (m, n, ldvt, lwork))
-        gesdd(jobz, m_, n_, a, m_, s, u, m_, vt, ldvt_, work, lwork_, iwork, info)
-        if info[0] != 0:
-            raise NumericalError(f"SVD did not converge (dgesdd info={info[0]})")
-
-    query = np.empty(1)
-    run(query, -1)
-    lwork = int(query[0]) or 1
-    run(np.empty(lwork), lwork)
-    del a, iwork
+    info = gesdd(102, jobz, m, n, a, m, s, u, m, vt, ldvt)  # 102: column-major
+    if info != 0:
+        raise NumericalError(f"SVD did not converge (dgesdd info={info})")
+    del a
     if not compute_uv:
         return s
     return u.copy(), s, vt.copy()
@@ -184,11 +192,12 @@ def _lapack_svd(arr: np.ndarray, compute_uv: bool):
 def svd(w: np.ndarray) -> SvdTriple:
     """Thin SVD of `w`, canonicalized; deterministic for identical input.
 
-    The factors are `np.linalg.svd`'s, byte for byte (`_lapack_svd`). The
-    column signs are flipped in place on its C-ordered `u` and on the
-    transpose of its C-ordered `vt`, so no further copy of either factor is
-    made: `u` is C-ordered and `v` F-ordered, and every entry equals
-    `sign_canonicalize` of the same factors, since a flip by -1 is exact.
+    The factors are `np.linalg.svd`'s, byte for byte, from one call of
+    NumPy's own LAPACKE dgesdd wrapper (`_lapack_svd`). The column signs are
+    flipped in place on its C-ordered `u` and on the transpose of its
+    C-ordered `vt`, so no further copy of either factor is made: `u` is
+    C-ordered and `v` F-ordered, and every entry equals `sign_canonicalize`
+    of the same factors, since a flip by -1 is exact.
 
     `w` is never written. A caller that passes `w` as its only reference,
     as in `svd(load())`, hands it over: `svd` keeps no reference of its own,

@@ -155,7 +155,10 @@ Target = tuple[MatrixKey, str, str, Callable, Callable]
 
 @dataclass
 class SurgeryPlan:
-    """One restore run: grid point i selects `grid[i]` and writes its own checkpoint."""
+    """One restore run: grid point i selects `grid[i]` and writes its own checkpoint.
+
+    Its `kinds` are checked against the profile by the walk `plan_selection` runs.
+    """
 
     mode: str  # "values" | "vectors"
     donor: Checkpoint
@@ -175,7 +178,6 @@ class SurgeryPlan:
         if self.align == "procrustes" and self.mode != "vectors":
             raise ValidationError("align 'procrustes' needs mode 'vectors'; values mode keeps "
                                   "the host's singular vectors, so there is nothing to align")
-        self.profile.check_kinds(self.kinds)
         self.targets = plan_selection(self)
 
     def echo(self, point: int) -> dict:
@@ -287,9 +289,9 @@ class SurgeryReport:
 def plan_selection(plan: SurgeryPlan) -> list[tuple[Target, list[np.ndarray | None]]]:
     """Each matrix some grid point edits, in key order, with its ranks per grid point.
 
-    The matrices come from one `pair_matrices` walk of host and donor, so
-    each checkpoint's keys are resolved once for the whole grid. A grid
-    point takes the host's matrices of the plan's kinds in the layers its
+    The matrices come from one `pair_matrices` walk of host and donor over
+    the plan's kinds, so each checkpoint's keys are resolved once for the
+    whole grid. A grid point takes those host matrices in the layers its
     selector picks from theirs, and gives each the ranks its rank selector
     resolves for that matrix (possibly none); it gives None to a matrix its
     layers leave out. A matrix that every grid point leaves out is dropped,
@@ -297,8 +299,7 @@ def plan_selection(plan: SurgeryPlan) -> list[tuple[Target, list[np.ndarray | No
     `SurgeryPlan` runs this once, when it is built, and keeps the result as
     `targets`.
     """
-    kinds = set(plan.kinds)
-    paired = pair_matrices(plan.host, plan.donor, plan.profile, lambda key: key.kind in kinds)
+    paired = pair_matrices(plan.host, plan.donor, plan.profile, plan.kinds)
     host_layers = sorted({key.layer for key, *_ in paired})
     chosen = [(layers.resolve(host_layers), ranks) for layers, ranks in plan.grid]
     targets = []

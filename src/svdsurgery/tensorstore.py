@@ -20,6 +20,7 @@ from __future__ import annotations
 import fnmatch
 import functools
 import json
+import math
 import os
 import re
 import struct
@@ -87,6 +88,11 @@ def encode_values(values: np.ndarray, dtype: str) -> bytes:
 # container reading
 
 
+def _stored_nbytes(shape: tuple[int, ...], dtype: str) -> int:
+    """Bytes that a tensor of `shape` stored as `dtype` takes, in exact integers."""
+    return math.prod(shape) * DTYPE_SIZES[dtype]
+
+
 @dataclass(frozen=True)
 class TensorInfo:
     dtype: str
@@ -144,7 +150,7 @@ def _parse_header(header: dict, data_size: int) -> tuple[dict[str, TensorInfo], 
             raise ValidationError(f"tensor {name!r} has unsupported shape {shape}")
         if not 0 <= start <= end <= data_size:
             raise ValidationError(f"tensor {name!r} byte range {(start, end)} out of bounds")
-        expected = int(np.prod(shape)) * DTYPE_SIZES[dtype]
+        expected = _stored_nbytes(shape, dtype)
         if end - start != expected:
             raise ValidationError(
                 f"tensor {name!r} byte range holds {end - start} bytes, expected {expected}"
@@ -298,7 +304,7 @@ def write_checkpoint(
         info = base.index[name]
         if name in edit_dtypes:
             dtype = edit_dtypes[name]
-            size = int(np.prod(info.shape)) * DTYPE_SIZES[dtype]
+            size = _stored_nbytes(info.shape, dtype)
         else:
             dtype, size = info.dtype, info.nbytes
         entries[name] = {
@@ -485,21 +491,24 @@ def resolve_keys(ckpt: Checkpoint, profile: NamingProfile) -> list[tuple[MatrixK
 
 
 def pair_matrices(
-    a: Checkpoint, b: Checkpoint, profile: NamingProfile, keep
+    a: Checkpoint, b: Checkpoint, profile: NamingProfile, kinds=None
 ) -> list[tuple[MatrixKey, str, str | None, Callable, Callable | None]]:
     """The one walk over the matrices of two checkpoints, paired by key, in key order.
 
-    For each 2-D matrix of `a` whose key passes `keep`: (key, name in a,
-    name in b, load a, load b). A loader decodes its matrix by `load_matrix`
-    when called, so the caller decides when to load. The name and loader in
-    b are None where `b` lacks the key; keys only `b` has are left out.
-    Paired tensors must have the same shape.
+    For each 2-D matrix of `a` of the given `kinds` (every kind if None):
+    (key, name in a, name in b, load a, load b). A kind the profile does not
+    resolve is rejected first (`NamingProfile.check_kinds`). A loader decodes
+    its matrix by `load_matrix` when called, so the caller decides when to
+    load. The name and loader in b are None where `b` lacks the key; keys
+    only `b` has are left out. Paired tensors must have the same shape.
     """
+    if kinds is not None:
+        profile.check_kinds(kinds)
     names_b = dict(resolve_keys(b, profile))
     pairs = []
     for key, name_a in resolve_keys(a, profile):
         shape = a.index[name_a].shape
-        if not keep(key) or len(shape) != 2:
+        if (kinds is not None and key.kind not in kinds) or len(shape) != 2:
             continue
         name_b = names_b.get(key)
         if name_b is not None and b.index[name_b].shape != shape:

@@ -12,6 +12,7 @@ import struct
 import sys
 import tracemalloc
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -144,15 +145,15 @@ class HandOverWatch:
         alive = sum(ref() is not None for ref in self.refs)
         assert alive == 0, f"{alive} handed-over matrices alive at dgesdd call {self.calls + 1}"
         self.calls += 1
-        self._gesdd(*args)
+        return self._gesdd(*args)
 
 
 @pytest.fixture
 def handover_watch(monkeypatch):
     """Replace `spectral._gesdd` by a fake that fails if a watched matrix is still alive.
 
-    The fake runs NumPy's own dgesdd after the check, so every result is
-    the real one.
+    The fake runs NumPy's own LAPACKE dgesdd after the check, so every
+    result is the real one.
     """
     from svdsurgery import spectral
 
@@ -191,3 +192,88 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# planted truths
+
+#: a tall matrix (m > n), so the `angles` side that is not whole-space is the left one
+PLANTED_NAME = "model.layers.0.mlp.up_proj.weight"
+
+
+@dataclass
+class PlantedStep:
+    """One checkpoint of `planted_trajectory`, with the truths it was built from."""
+
+    phase: str  # "base", "sft" or "rl"
+    theta: np.ndarray  # (k,) planted angles of the top-k subspaces against the base
+    sigma: np.ndarray  # (n,) singular values, descending
+    matrix: np.ndarray  # (m, n) float64
+
+
+def planted_trajectory(seed: int = 0, m: int = 40, n: int = 16, k: int = 4) -> list[PlantedStep]:
+    """A base W_0 = U diag(sigma_0) V^T and an SFT -> RL series whose drift and rotation are known.
+
+    Step t is W_t = U_t diag(sigma_t) V_t^T with U_t (m x n) and V_t (n x n)
+    orthonormal by construction, so its truths come from the construction,
+    not from an SVD of the output:
+
+    - the singular values of W_t are sigma_t, descending, and the planted
+      drift is Delta sigma_t = sigma_t - sigma_0. The SFT steps move the
+      top-k values; the RL steps keep the last SFT step's values;
+    - U_t's top-k columns are U_k cos(Theta_t) + P sin(Theta_t), where P
+      is orthonormal and orthogonal to all n columns of U; the other
+      columns are U's. The principal angles between the thin left bases of
+      W_0 and W_t are therefore Theta_t plus n - k zeros, and those between
+      their top-k left subspaces are Theta_t;
+    - V_t's top-k columns turn by Theta_t towards columns k+1..2k, which
+      get the matching counter-rotation, so V_t stays orthogonal and the
+      top-k right subspaces are also Theta_t apart. The thin right basis
+      spans all of R^n, so its angles are all zero;
+    - Theta_t grows over the SFT steps and partly falls back over the RL
+      steps (finding 4 of the source paper: SFT rotates the leading
+      directions, RL turns them back while sigma stays put);
+    - sigma_k / sigma_{k+1} >= 2 at every step, so each top-k subspace is
+      well defined, and sigma_n = 1 keeps the thin left basis well defined.
+
+    Needs m >= n + k and n >= 2k.
+    """
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((m, n + k)))
+    u, away = q[:, :n], q[:, n:]
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    sigma_0 = np.concatenate([np.linspace(12.0, 9.0, k), np.linspace(4.0, 1.0, n - k)])
+    drift = np.concatenate([np.linspace(0.5, 0.2, k), np.zeros(n - k)])
+    peak = np.linspace(0.3, 0.6, k)  # the top-k angles at the end of SFT, in radians
+    schedule = [("base", 0.0, 0.0), ("sft", 0.5, 0.5), ("sft", 1.0, 1.0),
+                ("rl", 0.8, 1.0), ("rl", 0.6, 1.0)]  # (phase, share of peak, share of drift)
+    steps = []
+    for phase, turn, grow in schedule:
+        theta = turn * peak
+        cos, sin = np.cos(theta), np.sin(theta)
+        u_t, v_t = u.copy(), v.copy()
+        u_t[:, :k] = u[:, :k] * cos + away * sin
+        v_t[:, :k] = v[:, :k] * cos + v[:, k:2 * k] * sin
+        v_t[:, k:2 * k] = v[:, k:2 * k] * cos - v[:, :k] * sin
+        sigma = sigma_0 + grow * drift
+        steps.append(PlantedStep(phase=phase, theta=theta, sigma=sigma,
+                                 matrix=(u_t * sigma) @ v_t.T))
+    return steps
+
+
+#: unit roundoff of each stored dtype: every stored entry is within UNIT_ROUNDOFF * |x| of x
+UNIT_ROUNDOFF = {"F32": 2.0**-24, "BF16": 2.0**-8}
+
+
+def stored_as(matrix: np.ndarray, dtype: str) -> np.ndarray:
+    """What `pack_container` takes for `matrix` stored as F64, F32 or BF16, rounded once.
+
+    BF16 is rounded to nearest-even straight from the float64 bits, not
+    through float32, so its error stays within one unit roundoff.
+    """
+    if dtype != "BF16":
+        return matrix
+    bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.uint64)
+    bias = np.uint64((1 << 44) - 1) + ((bits >> np.uint64(45)) & np.uint64(1))
+    nearest = (((bits + bias) >> np.uint64(45)) << np.uint64(45)).view(np.float64)
+    return (nearest.astype(np.float32).view(np.uint32) >> np.uint32(16)).astype(np.uint16)

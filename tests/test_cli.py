@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -142,12 +143,25 @@ def test_nan_in_checkpoint_exits_3_and_writes_nothing(name, pair, rollouts, tmp_
 
 def test_svd_non_convergence_exits_3_and_writes_nothing(pair, rollouts, tmp_path, monkeypatch):
     def not_converging(*args):
-        args[-1][0] = 1  # info > 0: the bidiagonal iteration did not converge
+        return 1  # info > 0: the bidiagonal iteration did not converge
 
     monkeypatch.setattr(spectral, "_gesdd", lambda: not_converging)
     out = tmp_path / "out"
     assert cli.main(commands(pair, rollouts)["svd-diff"] + ["--out", str(out)]) == 3
     assert list(out.iterdir()) == []
+
+
+def test_tensor_whose_size_wraps_int64_exits_2_and_names_it(tmp_path, capsys):
+    # 2**32 * 2**32 F32 elements wrap to 0 bytes in int64, matching data_offsets [0, 0]
+    name = "model.layers.0.self_attn.q_proj.weight"
+    header = {name: {"dtype": "F32", "shape": [2**32, 2**32], "data_offsets": [0, 0]}}
+    blob = json.dumps(header).encode()
+    probe = tmp_path / "probe.safetensors"
+    probe.write_bytes(struct.pack("<Q", len(blob)) + blob)
+    out = tmp_path / "out"
+    assert cli.main(["svd-diff", "--a", str(probe), "--b", str(probe), "--out", str(out)]) == 2
+    assert repr(name) in capsys.readouterr().err
+    assert files(out) == {}
 
 
 def test_zero_matrix_reports_undefined_rel_drift_as_null(pair, rollouts, tmp_path):
@@ -450,6 +464,19 @@ def test_kind_outside_the_profile_exits_2_and_names_kinds(name, kinds, pair, rol
     assert cli.main(commands(pair, rollouts)[name] + ["--kinds", kinds, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "kinds" in err and "'nope'" in err
+    assert files(out) == {}
+
+
+def test_penalty_kinds_present_in_only_one_file_exit_2_with_the_walk_message(
+        pair, rollouts, tmp_path, capsys):
+    arrays = synth_decoder_arrays(23)
+    write_ckpt(pair[1], {name: arr for name, arr in arrays.items() if "o_proj" not in name})
+    out = tmp_path / "out"
+    argv = commands(pair, rollouts)["penalty"] + ["--kinds", "o", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: profile 'llama-style' resolves no comparable 2-D tensors in both checkpoints\n"
+    )
     assert files(out) == {}
 
 
@@ -928,7 +955,7 @@ def test_report_bytes_do_not_depend_on_openblas_threads(synth_pair, tmp_path):
 
 
 def test_main_leaves_the_callers_blas_thread_count(pair, rollouts, tmp_path, monkeypatch):
-    calls = cli._openblas_thread_calls()
+    calls = spectral._openblas_thread_calls()
     if calls is None:
         pytest.skip("NumPy does not bundle OpenBLAS here, so main leaves threads alone")
     get, put = calls
@@ -952,3 +979,9 @@ def test_main_leaves_the_callers_blas_thread_count(pair, rollouts, tmp_path, mon
     finally:
         put(found)
     assert seen == [1]
+
+
+def test_main_leaves_threads_alone_where_numpy_bundles_no_openblas(pair, rollouts, tmp_path,
+                                                                    monkeypatch):
+    monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
+    assert cli.main(commands(pair, rollouts)["svd-diff"] + ["--out", str(tmp_path / "out")]) == 0

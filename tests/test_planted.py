@@ -1,0 +1,69 @@
+"""Commands against planted truths: drift and rotation known from the construction.
+
+Every other check compares with NumPy running the same algorithm; these
+compare with the `planted_trajectory` that built the checkpoints, so a
+number that passes here means what its name says.
+"""
+
+import csv
+
+import numpy as np
+import pytest
+
+from svdsurgery import cli
+
+from conftest import PLANTED_NAME, UNIT_ROUNDOFF, pack_container, planted_trajectory, stored_as
+
+STEPS = planted_trajectory()
+BASE = STEPS[0]
+
+
+def write_step(path, step, dtype):
+    path.write_bytes(pack_container({PLANTED_NAME: (dtype, stored_as(step.matrix, dtype))}))
+    return str(path)
+
+
+def run_on_step(tmp_path, command, t, dtype="F64"):
+    """Run `command` with --a the base and --b step t, stored as `dtype`; return the output dir."""
+    a = write_step(tmp_path / "base.safetensors", BASE, dtype)
+    b = write_step(tmp_path / f"step{t}.safetensors", STEPS[t], dtype)
+    out = tmp_path / f"{command}-{t}"
+    assert cli.main([command, "--a", a, "--b", b, "--out", str(out)]) == 0
+    return out
+
+
+def column(path, name) -> np.ndarray:
+    with open(path, newline="") as fh:
+        return np.array([float(row[name]) for row in csv.DictReader(fh)])
+
+
+@pytest.mark.parametrize("t", range(1, len(STEPS)))
+def test_svd_diff_reports_the_planted_drift(t, tmp_path):
+    out = run_on_step(tmp_path, "svd-diff", t)
+    delta = column(out / "delta_sigma__L000_mlp_up.csv", "delta")
+    assert np.max(np.abs(delta - (STEPS[t].sigma - BASE.sigma))) <= 1e-12 * BASE.sigma[0]
+
+
+@pytest.mark.parametrize("t", range(1, len(STEPS)))
+def test_angles_report_the_planted_rotation_on_the_tall_side(t, tmp_path):
+    out = run_on_step(tmp_path, "angles", t)
+    n, k = BASE.sigma.shape[0], BASE.theta.shape[0]
+    want = np.sort(np.concatenate([STEPS[t].theta, np.zeros(n - k)]))
+    left = column(out / "angles__L000_mlp_up__left.csv", "angle_rad")
+    assert np.max(np.abs(left - want)) <= 1e-10
+    assert np.array_equal(column(out / "angles__L000_mlp_up__right.csv", "angle_rad"), np.zeros(n))
+
+
+@pytest.mark.parametrize("dtype", ["F32", "BF16"])
+@pytest.mark.parametrize("t", range(1, len(STEPS)))
+def test_svd_diff_drift_is_within_the_storage_rounding(dtype, t, tmp_path):
+    # each stored entry is within u|x| of x, so storage moves W by at most u ||W||_F
+    # in the 2-norm and, by Weyl, each singular value by no more
+    out = run_on_step(tmp_path, "svd-diff", t, dtype)
+    table = out / "delta_sigma__L000_mlp_up.csv"
+    u = UNIT_ROUNDOFF[dtype]
+    norm_0, norm_t = (np.linalg.norm(step.matrix) for step in (BASE, STEPS[t]))
+    assert np.max(np.abs(column(table, "sigma_a") - BASE.sigma)) <= u * norm_0
+    assert np.max(np.abs(column(table, "sigma_b") - STEPS[t].sigma)) <= u * norm_t
+    planted = STEPS[t].sigma - BASE.sigma
+    assert np.max(np.abs(column(table, "delta") - planted)) <= u * (norm_0 + norm_t)

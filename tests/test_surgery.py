@@ -404,7 +404,7 @@ def test_restore_hands_each_decoded_matrix_over_to_its_svd(mode, tall_pair, hand
     plan = _make_plan(*tall_pair[:2], mode=mode, ranks="top:2")
     [report] = run_surgery(plan, [tmp_path / "out.safetensors"])
     assert report.records[0].status == "edited"
-    assert handover_watch.calls == 4  # workspace query and run, host and donor
+    assert handover_watch.calls == 2  # host and donor
     assert len(handover_watch.refs) == 4  # host and donor decomposed, then reloaded
 
 

@@ -1,6 +1,7 @@
 """Container I/O and tensor-name resolution."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -20,6 +21,7 @@ from svdsurgery.tensorstore import (
     load_profile,
     load_raw,
     open_checkpoint,
+    pair_matrices,
     resolve_keys,
     write_checkpoint,
 )
@@ -498,6 +500,24 @@ def test_resolve_collision_rejected(write_container):
     path = write_container({"a.0.w": ("F32", np.zeros((2, 2))), "b.0.w": ("F32", np.zeros((2, 2)))})
     with pytest.raises(ValidationError, match="both resolve"):
         resolve_keys(open_checkpoint(path), profile)
+
+
+def test_pair_matrices_walks_only_the_given_kinds(synth_pair):
+    a, b = (open_checkpoint(path) for path in synth_pair())
+    profile = BUILTIN_PROFILES["llama-style"]
+    every = [pair[:3] for pair in pair_matrices(a, b, profile)]
+    some = [pair[:3] for pair in pair_matrices(a, b, profile, ("mlp_down", "q"))]
+    assert {key.kind for key, *_ in every} == {kind for _, kind in profile.patterns}
+    assert some == [pair for pair in every if pair[0].kind in ("q", "mlp_down")]
+    assert {key.kind for key, *_ in some} == {"q", "mlp_down"}
+
+
+def test_pair_matrices_rejects_a_kind_the_profile_does_not_resolve(synth_pair):
+    a, b = (open_checkpoint(path) for path in synth_pair())
+    message = ("kinds 'nope' not in profile 'llama-style', "
+               "which resolves k, mlp_down, mlp_gate, mlp_up, o, q, v")
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        pair_matrices(a, b, BUILTIN_PROFILES["llama-style"], ("q", "nope"))
 
 
 def test_profile_from_file(tmp_path, write_container):
