@@ -152,9 +152,9 @@ def _present_pairs(ckpt_a, ckpt_b, profile, kinds=None) -> list[tuple]:
     pairs = pair_matrices(ckpt_a, ckpt_b, profile, kinds)
     pairs = [pair for pair in pairs if pair[2] is not None]
     if not pairs:
-        raise ValidationError(
-            f"profile {profile.name!r} resolves no comparable 2-D tensors in both checkpoints"
-        )
+        of_kinds = f" of kinds {', '.join(kinds)}" if kinds else ""
+        raise ValidationError(f"profile {profile.name!r} resolves no comparable 2-D tensors"
+                              f"{of_kinds} in both checkpoints")
     return pairs
 
 

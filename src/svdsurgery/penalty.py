@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import DEGENERATE_GAP_RATIO, ensure_matrix, svd
+from .spectral import DEGENERATE_GAP_RATIO, boundary_gap, ensure_matrix, svd
 
 
 @dataclass
 class PenaltyRef:
-    """Frozen top-r singular subspaces of a reference matrix."""
+    """Frozen top-r singular subspaces of a reference matrix, with their `boundary_gap`."""
 
     u: np.ndarray  # (m, r) orthonormal columns
     v: np.ndarray  # (n, r) orthonormal columns
@@ -36,9 +36,10 @@ class PenaltyRef:
 def fit_reference(w_ref: np.ndarray, rank: int) -> PenaltyRef:
     """Extract the top-`rank` singular subspaces of `w_ref`.
 
-    The subspaces are frozen here and never re-fit; a warning flags a
-    near-degenerate boundary where the chosen basis is arbitrary. `w_ref`
-    is never written. Passed as the only reference, as in
+    The subspaces are the leading columns `svd(w_ref, rank)` keeps, frozen
+    here and never re-fit; a warning flags a degenerate `boundary_gap`
+    (sigma_{r+1} = 0 at full rank), where the chosen basis is arbitrary.
+    `w_ref` is never written. Passed as the only reference, as in
     `fit_reference(load(), rank)`, it is handed over to `svd` and freed
     before the decomposition allocates (CPython 3.11 or later; see `svd`).
     """
@@ -47,25 +48,12 @@ def fit_reference(w_ref: np.ndarray, rank: int) -> PenaltyRef:
     thin = min(held[0].shape)
     if not 1 <= rank <= thin:
         raise ValidationError(f"rank {rank} out of range [1, {thin}]")
-    t = svd(held.pop())
-    sigma_top = float(t.sigma[0])
-    next_sigma = float(t.sigma[rank]) if rank < thin else 0.0
-    gap = float(t.sigma[rank - 1]) - next_sigma
-    degenerate = gap < DEGENERATE_GAP_RATIO * sigma_top
+    t = svd(held.pop(), rank)
+    gap, degenerate = boundary_gap(np.append(t.sigma, 0.0), np.arange(rank))
     if degenerate:
-        warnings.warn(
-            f"boundary gap {gap:.3e} below {DEGENERATE_GAP_RATIO:g} * sigma_1; "
-            "the top-rank subspace is ill-defined",
-            stacklevel=2,
-        )
-    # copies, not views: a view would keep the whole `u` and `v` alive
-    return PenaltyRef(
-        u=t.u[:, :rank].copy(order="K"),
-        v=t.v[:, :rank].copy(order="K"),
-        rank=rank,
-        boundary_gap=gap,
-        degenerate=degenerate,
-    )
+        warnings.warn(f"boundary gap {gap:.3e} below {DEGENERATE_GAP_RATIO:g} * sigma_1; "
+                      "the top-rank subspace is ill-defined", stacklevel=2)
+    return PenaltyRef(u=t.u, v=t.v, rank=rank, boundary_gap=gap, degenerate=degenerate)
 
 
 def _cross_blocks(w: np.ndarray, ref: PenaltyRef) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,8 @@ constant                        value    meaning
 ==============================  =======  ==========================================
 ORTHONORMALITY_INPUT_TOL        1e-8     accepted on caller-supplied bases
 DEGENERATE_GAP_RATIO            1e-6     gap below this fraction of sigma_1 flags an
-                                         ill-conditioned subspace boundary
+                                         ill-conditioned subspace boundary; compared
+                                         only in `boundary_gap`
 ==============================  =======  ==========================================
 """
 
@@ -45,9 +46,9 @@ class SvdTriple:
 
     In each column of `u` the entry of largest magnitude is positive (ties
     broken by lowest row index); the matching column of `v` is flipped
-    jointly so the reconstruction is unchanged. A triple may hold only the
-    leading columns of `u` and `v` (k <= r of them) while `sigma` stays
-    whole; `rank` and `shape` read the same either way.
+    jointly so the reconstruction is unchanged. A triple from `svd(w, keep)`
+    holds only the leading `keep` columns of `u` and `v` while `sigma`
+    stays whole; `rank` and `shape` read the same either way.
     """
 
     u: np.ndarray  # (m, r), or (m, k) when truncated
@@ -147,7 +148,7 @@ def _gesdd():
     return None
 
 
-def _lapack_svd(arr: np.ndarray, compute_uv: bool):
+def _lapack_svd(arr: np.ndarray, compute_uv: bool, keep: int | None = None):
     """`np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)` of a checked matrix.
 
     It calls NumPy's own `dgesdd` column-major through LAPACKE (`_gesdd`),
@@ -159,23 +160,30 @@ def _lapack_svd(arr: np.ndarray, compute_uv: bool):
     sigma, U, V^T and the workspace are allocated, so an `arr` handed over
     as the only reference (see `svd`) is freed there. The workspace and the
     copy are freed before U and V^T are copied to the C order NumPy returns
-    them in. Where `_gesdd` is None it calls `np.linalg.svd` on `arr`
-    itself: the same bytes with a larger peak.
+    them in; with `keep`, only U's leading `keep` columns and V^T's rows,
+    into arrays allocated before LAPACK's, so that those are not freed
+    around them. Where `_gesdd` is None it calls `np.linalg.svd` on `arr`
+    itself, and copies the same part: the same bytes with a larger peak.
 
     A non-zero `info` (non-convergence) is raised as NumericalError.
     """
     gesdd = _gesdd()
     if gesdd is None:
         try:
-            return np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)
+            out = np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge: {exc}") from exc
+        if keep is None or not compute_uv:
+            return out
+        return out[0][:, :keep].copy(), out[1], out[2][:keep].copy()
 
     m, n = arr.shape
     k = min(m, n)
     a = np.array(arr, dtype=np.float64, order="F")  # dgesdd overwrites it
     del arr
     s = np.empty(k)
+    if keep is not None:
+        u_keep, vt_keep = np.empty((m, keep)), np.empty((keep, n))
     if compute_uv:
         jobz, u, vt, ldvt = b"S", np.empty((m, k), order="F"), np.empty((k, n), order="F"), k
     else:  # u and vt are not referenced
@@ -186,10 +194,13 @@ def _lapack_svd(arr: np.ndarray, compute_uv: bool):
     del a
     if not compute_uv:
         return s
-    return u.copy(), s, vt.copy()
+    if keep is None:
+        return u.copy(), s, vt.copy()
+    u_keep[...], vt_keep[...] = u[:, :keep], vt[:keep]
+    return u_keep, s, vt_keep
 
 
-def svd(w: np.ndarray) -> SvdTriple:
+def svd(w: np.ndarray, keep: int | None = None) -> SvdTriple:
     """Thin SVD of `w`, canonicalized; deterministic for identical input.
 
     The factors are `np.linalg.svd`'s, byte for byte, from one call of
@@ -197,7 +208,8 @@ def svd(w: np.ndarray) -> SvdTriple:
     flipped in place on its C-ordered `u` and on the transpose of its
     C-ordered `vt`, so no further copy of either factor is made: `u` is
     C-ordered and `v` F-ordered, and every entry equals `sign_canonicalize`
-    of the same factors, since a flip by -1 is exact.
+    of the same factors, since a flip by -1 is exact. With `keep`, `u` and
+    `v` hold only their leading `keep` columns; `sigma` stays whole.
 
     `w` is never written. A caller that passes `w` as its only reference,
     as in `svd(load())`, hands it over: `svd` keeps no reference of its own,
@@ -211,12 +223,28 @@ def svd(w: np.ndarray) -> SvdTriple:
     """
     held = [ensure_matrix(w)]
     del w
-    u, s, vt = _lapack_svd(held.pop(), compute_uv=True)
+    u, s, vt = _lapack_svd(held.pop(), compute_uv=True, keep=keep)
     v = vt.T
     signs = _canonical_signs(u)
     u *= signs
     v *= signs
     return SvdTriple(u=u, sigma=s, v=v)
+
+
+def boundary_gap(sigma: np.ndarray, ranks: np.ndarray) -> tuple[float | None, bool]:
+    """(gap, degenerate) of the selection `ranks` of descending `sigma`.
+
+    `gap` is the smallest sigma_i - sigma_{i+1} where the selection starts or
+    stops, and `degenerate` whether it is below DEGENERATE_GAP_RATIO * sigma_1,
+    where the selected basis is arbitrary; (None, False) without a boundary.
+    """
+    selected = np.zeros(sigma.shape[0], dtype=bool)
+    selected[ranks] = True
+    boundary = selected[:-1] != selected[1:]
+    if not boundary.any():
+        return None, False
+    gap = float(np.min(sigma[:-1][boundary] - sigma[1:][boundary]))
+    return gap, gap < DEGENERATE_GAP_RATIO * float(sigma[0])
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import DEGENERATE_GAP_RATIO, SvdTriple, procrustes, svd
+from .spectral import SvdTriple, boundary_gap, procrustes, svd
 from .tensorstore import (
     DEFAULT_SURGERY_KINDS,
     Checkpoint,
@@ -236,18 +236,6 @@ def mixed_matrix(
     return u @ v.T
 
 
-def _boundary_degenerate(sigma: np.ndarray, ranks: np.ndarray) -> bool:
-    """True when any selected/unselected boundary gap is below the degeneracy ratio."""
-    r = sigma.shape[0]
-    if ranks.size in (0, r):
-        return False
-    selected = np.zeros(r, dtype=bool)
-    selected[ranks] = True
-    boundary = selected[:-1] != selected[1:]
-    gaps = sigma[:-1][boundary] - sigma[1:][boundary]
-    return bool(np.any(gaps < DEGENERATE_GAP_RATIO * sigma[0]))
-
-
 def _aligned_donor(host_t: SvdTriple, donor_t: SvdTriple, ranks: np.ndarray) -> SvdTriple:
     """Rotate the donor's selected columns onto the host's span (experimental)."""
     u = donor_t.u.copy()
@@ -325,28 +313,25 @@ def _splice_target(
 
     Host and donor are decomposed once, and only when some grid point
     selects ranks of this matrix. The donor goes first, and only what the
-    mixing reads of it is kept while the host decomposes: its whole `sigma`,
-    plus copies of its leading `u` and `v` columns up to the highest rank
-    any grid point selects (none in values mode). Neither float64 matrix is
-    held across the other's decomposition: the target's loaders decode each
-    again for every grid point's distances. Each matrix is handed over to
-    `svd` as the only reference, so it is freed before LAPACK's factors are
-    allocated (CPython 3.11 or later; see `svd`). A grid point's distances
-    subtract its mixed matrix into the freshly decoded host, and then into
-    the freshly decoded donor, each dropped before the next decode, so no
-    m x n difference is allocated. Each mixed matrix goes to its grid
-    point's writer as soon as its record is taken, so no float64 result
-    outlives its grid point.
+    mixing reads of it is kept while the host decomposes: `svd(w, keep)`
+    keeps its whole `sigma` and its leading `u` and `v` columns up to the
+    highest rank any grid point selects (none in values mode). Neither
+    float64 matrix is held across the other's decomposition: the target's
+    loaders decode each again for every grid point's distances. Each matrix
+    is handed over to `svd` as the only reference, so it is freed before
+    LAPACK's factors are allocated (CPython 3.11 or later; see `svd`). A
+    grid point's distances subtract its mixed matrix into the freshly
+    decoded host, and then into the freshly decoded donor, each dropped
+    before the next decode, so no m x n difference is allocated. Each mixed
+    matrix goes to its grid point's writer as soon as its record is taken,
+    so no float64 result outlives its grid point.
     """
     key, host_name, _, load_host, load_donor = target
     if not any(ranks.size for ranks, _ in points):
         load_host()  # a non-finite host fails as it would if edited
         return [MatrixRecord(key=key, tensor=host_name, status="copied") for _ in points]
-    donor_t = svd(load_donor())
     keep = 0 if plan.mode == "values" else 1 + max(int(r.max()) for r, _ in points if r.size)
-    # copies, not views: a view would keep the whole `u` and `v` alive
-    donor_t = SvdTriple(u=donor_t.u[:, :keep].copy(), sigma=donor_t.sigma,
-                        v=donor_t.v[:, :keep].copy())
+    donor_t = svd(load_donor(), keep)
     host_t = svd(load_host())
     records = []
     for ranks, writer in points:
@@ -376,9 +361,8 @@ def _splice_target(
             fro_vs_host=fro_vs_host,
             fro_vs_donor=fro_vs_donor,
             max_entry_change=max_entry_change,
-            degenerate_boundary=(
-                _boundary_degenerate(host_t.sigma, ranks)
-                or _boundary_degenerate(point_donor_t.sigma, ranks)
+            degenerate_boundary=any(
+                boundary_gap(t.sigma, ranks)[1] for t in (host_t, point_donor_t)
             ),
         ))
         writer.write_edit(host_name, w_out)

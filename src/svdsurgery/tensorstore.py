@@ -314,10 +314,9 @@ def write_checkpoint(
         }
         cursor += size
 
-    header: dict[str, object] = {name: entries[name] for name in sorted(entries)}
     if base.metadata:
-        header["__metadata__"] = dict(sorted(base.metadata.items()))
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        entries["__metadata__"] = base.metadata
+    header_bytes = json.dumps(entries, sort_keys=True, separators=(",", ":")).encode("utf-8")
     pad = (-(HEADER_LEN_BYTES + len(header_bytes))) % 8
     header_bytes += b" " * pad
     data_start = HEADER_LEN_BYTES + len(header_bytes)

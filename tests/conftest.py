@@ -234,7 +234,16 @@ def planted_trajectory(seed: int = 0, m: int = 40, n: int = 16, k: int = 4) -> l
       steps (finding 4 of the source paper: SFT rotates the leading
       directions, RL turns them back while sigma stays put);
     - sigma_k / sigma_{k+1} >= 2 at every step, so each top-k subspace is
-      well defined, and sigma_n = 1 keeps the thin left basis well defined.
+      well defined, and sigma_n = 1 keeps the thin left basis well defined;
+    - against the reference W_0 at rank r = k, the rotation-preservation
+      penalty of W_t is sum_{i<=k} sin^2(theta_{t,i}) (2 sigma_{t,i}^2
+      cos^2(theta_{t,i}) + sigma_{t,k+i}^2), since with P_U = U_k U_k^T
+      and P_V = V_k V_k^T the two cross blocks are
+      (I - P_U) W_t V_k = P sin(Theta) Sigma_top cos(Theta)
+      - U_{k:2k} Sigma_mid sin(Theta) and
+      U_k^T W_t (I - P_V) = cos(Theta) Sigma_top sin(Theta) V_{k:2k}^T,
+      with Sigma_top and Sigma_mid the diagonals of sigma_{t,1..k} and
+      sigma_{t,k+1..2k}, and P sin(Theta) orthogonal to U.
 
     Needs m >= n + k and n >= 2k.
     """

@@ -475,7 +475,8 @@ def test_penalty_kinds_present_in_only_one_file_exit_2_with_the_walk_message(
     argv = commands(pair, rollouts)["penalty"] + ["--kinds", "o", "--out", str(out)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == (
-        "error: profile 'llama-style' resolves no comparable 2-D tensors in both checkpoints\n"
+        "error: profile 'llama-style' resolves no comparable 2-D tensors of kinds o "
+        "in both checkpoints\n"
     )
     assert files(out) == {}
 
@@ -522,6 +523,32 @@ def test_manifest_sweep_writes_one_output_per_grid_point(pair, tmp_path):
     shutil.rmtree(out)
     assert run_manifest(tmp_path, manifest) == 0
     assert files(out) == first
+
+
+def test_every_output_is_the_same_bytes_with_the_fallback_svd(pair, rollouts, tmp_path,
+                                                              monkeypatch):
+    # `_lapack_svd` promises np.linalg.svd's bytes; every report and checkpoint shows it
+    if spectral._gesdd() is None:
+        pytest.skip("no dgesdd binding here")
+    out = tmp_path / "out"
+    argvs = [commands(pair, rollouts)[name] + ["--out", str(out / name)]
+             for name in ("svd-diff", "angles", "restore-values", "penalty")]
+    argvs.append(commands(pair, rollouts)["restore-vectors"]
+                 + ["--align", "procrustes", "--out", str(out / "procrustes")])
+    sweep = {"layers": ["first:1", "all"], "ranks": ["top:2", "top:6"]}
+    manifest = restore_manifest(pair, out / "sweep", mode="vectors", sweep=sweep)
+
+    def run_all():
+        shutil.rmtree(out, ignore_errors=True)
+        for argv in argvs:
+            assert cli.main(argv) == 0
+        assert run_manifest(tmp_path, manifest) == 0
+        return files(out)
+
+    binding = run_all()
+    assert sum(name.endswith(".safetensors") for name in binding) == 6
+    monkeypatch.setattr(spectral, "_gesdd", lambda: None)
+    assert run_all() == binding
 
 
 def test_manifest_rejects_unknown_command_and_bad_json(tmp_path):
@@ -819,9 +846,9 @@ def test_sweep_decomposes_each_edited_matrix_once(ranks, edited, pair, tmp_path,
     calls = []
     original = surgery.svd
 
-    def counted(w):
+    def counted(w, keep=None):
         calls.append(w.shape)
-        return original(w)
+        return original(w, keep)
 
     monkeypatch.setattr(surgery, "svd", counted)
     out = tmp_path / "out"

@@ -23,12 +23,15 @@ def write_step(path, step, dtype):
     return str(path)
 
 
-def run_on_step(tmp_path, command, t, dtype="F64"):
-    """Run `command` with --a the base and --b step t, stored as `dtype`; return the output dir."""
+def run_on_step(tmp_path, command, t, dtype="F64", flags=("--a", "--b"), extra=()):
+    """Run `command` with the base and step t, stored as `dtype`; return the output dir.
+
+    `flags` names the two checkpoints' options, base first.
+    """
     a = write_step(tmp_path / "base.safetensors", BASE, dtype)
     b = write_step(tmp_path / f"step{t}.safetensors", STEPS[t], dtype)
     out = tmp_path / f"{command}-{t}"
-    assert cli.main([command, "--a", a, "--b", b, "--out", str(out)]) == 0
+    assert cli.main([command, flags[0], a, flags[1], b, *extra, "--out", str(out)]) == 0
     return out
 
 
@@ -67,3 +70,19 @@ def test_svd_diff_drift_is_within_the_storage_rounding(dtype, t, tmp_path):
     assert np.max(np.abs(column(table, "sigma_b") - STEPS[t].sigma)) <= u * norm_t
     planted = STEPS[t].sigma - BASE.sigma
     assert np.max(np.abs(column(table, "delta") - planted)) <= u * (norm_0 + norm_t)
+
+
+@pytest.mark.parametrize("t", range(len(STEPS)))
+def test_penalty_is_the_planted_closed_form(t, tmp_path):
+    k = BASE.theta.shape[0]
+    out = run_on_step(tmp_path, "penalty", t, flags=("--ref", "--current"),
+                      extra=("--rank", str(k)))
+    (value,) = column(out / "penalty.csv", "penalty")
+    theta, sigma = STEPS[t].theta, STEPS[t].sigma
+    sin2, cos2 = np.sin(theta) ** 2, np.cos(theta) ** 2
+    want = float(np.sum(sin2 * (2.0 * sigma[:k] ** 2 * cos2 + sigma[k:2 * k] ** 2)))
+    if t == 0:  # the base scores against itself: zero up to rounding
+        assert want == 0.0
+        assert abs(value) <= 1e-12 * np.linalg.norm(BASE.matrix) ** 2
+    else:
+        assert abs(value - want) <= 1e-12 * want

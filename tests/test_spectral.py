@@ -14,6 +14,7 @@ from scipy.linalg import subspace_angles as scipy_subspace_angles
 
 from svdsurgery import spectral
 from svdsurgery.errors import NumericalError, ValidationError
+from svdsurgery.penalty import fit_reference
 from svdsurgery.spectral import (
     AngleSpectrum,
     delta_sigma,
@@ -168,6 +169,49 @@ def test_lapack_svd_is_numpy_svd_bit_for_bit_in_the_same_layout(name, lapack_pat
         assert (g.dtype, g.shape, g.strides) == (e.dtype, e.shape, e.strides)
         assert g.tobytes() == e.tobytes()
     assert w.tobytes() == before.tobytes()  # the input is copied, never overwritten
+
+
+@pytest.mark.parametrize("name", ["tall", "wide", "square", "strided"])
+def test_svd_keep_is_the_full_svd_truncated_bit_for_bit(name, lapack_path):
+    w = _lapack_inputs()[name]
+    full = svd(w)
+    for keep in (0, 1, full.rank // 2, full.rank):
+        t = svd(w, keep)
+        assert t.sigma.tobytes() == full.sigma.tobytes()
+        assert t.u.shape == (w.shape[0], keep) and t.v.shape == (w.shape[1], keep)
+        assert t.u.flags.c_contiguous and t.v.flags.f_contiguous
+        assert t.u.tobytes() == full.u[:, :keep].tobytes()
+        assert t.v.tobytes() == full.v[:, :keep].tobytes()
+
+
+def test_boundary_gap_is_none_without_a_boundary():
+    sigma = np.array([3.0, 2.0, 1.0])
+    assert spectral.boundary_gap(sigma, np.arange(0)) == (None, False)
+    assert spectral.boundary_gap(sigma, np.arange(3)) == (None, False)
+
+
+def test_boundary_gap_is_the_smaller_of_an_interior_ranges_two_boundaries():
+    sigma = np.array([10.0, 8.0, 7.5, 4.0, 1.0])
+    assert spectral.boundary_gap(sigma, np.arange(1, 3)) == (2.0, False)  # 10-8 < 7.5-4
+    assert spectral.boundary_gap(sigma, np.arange(2, 4)) == (0.5, False)  # 8-7.5 < 4-1
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_boundary_gap_with_an_appended_zero_is_the_penalty_gap(rank):
+    sigma = np.array([5.0, 3.0, 2.0])
+    next_sigma = sigma[rank] if rank < 3 else 0.0  # sigma_{r+1} counts as 0 at full rank
+    gap, degenerate = spectral.boundary_gap(np.append(sigma, 0.0), np.arange(rank))
+    assert gap == sigma[rank - 1] - next_sigma == fit_reference(np.diag(sigma), rank).boundary_gap
+    assert degenerate is False
+
+
+def test_boundary_gap_flags_a_planted_near_degenerate_gap():
+    ratio = spectral.DEGENERATE_GAP_RATIO
+    for gap, degenerate in [(0.5 * ratio * 10.0, True), (1.5 * ratio * 10.0, False)]:
+        sigma = np.array([10.0, 5.0, 5.0 - gap, 1.0])
+        got = spectral.boundary_gap(sigma, np.arange(2))
+        assert got == (pytest.approx(gap), degenerate)
+        assert type(got[1]) is bool  # a report prints a bool as true/false
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")

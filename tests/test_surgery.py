@@ -477,11 +477,11 @@ def test_run_surgery_that_fails_partway_removes_its_outputs(synth_pair, tmp_path
     outs = [tmp_path / "a.safetensors", tmp_path / "b.safetensors"]
     calls = []
 
-    def svd_failing_on_the_third_target(w):
+    def svd_failing_on_the_third_target(w, keep=None):
         calls.append(w.shape)
         if len(calls) > 4:  # host and donor of each target
             raise NumericalError("SVD did not converge")
-        return svd(w)
+        return svd(w, keep)
 
     monkeypatch.setattr(surgery, "svd", svd_failing_on_the_third_target)
     with pytest.raises(NumericalError, match="did not converge"):

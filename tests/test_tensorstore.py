@@ -161,12 +161,18 @@ def test_open_range_size_mismatch(tmp_path):
 
 def test_metadata_roundtrip(write_container, tmp_path):
     w = np.ones((2, 2), dtype=np.float32)
-    path = write_container({"w": ("F32", w)}, metadata={"format": "pt", "note": "x"})
+    path = write_container({"w": ("F32", w), "b": ("F32", w)},
+                           metadata={"note": "x", "format": "pt"})
     ckpt = open_checkpoint(path)
     assert ckpt.metadata == {"format": "pt", "note": "x"}
     out = tmp_path / "copy.safetensors"
     write_checkpoint(ckpt, {}, out)
     assert open_checkpoint(out).metadata == ckpt.metadata
+    raw = out.read_bytes()
+    (length,) = struct.unpack("<Q", raw[:8])
+    header = json.loads(raw[8:8 + length])
+    assert list(header) == ["__metadata__", "b", "w"]
+    assert list(header["__metadata__"]) == ["format", "note"]
 
 
 # ---------------------------------------------------------------------------
