@@ -21,16 +21,19 @@ which holds one copy of each factor fewer than `np.linalg.svd`. Where NumPy
 bundles no OpenBLAS with 64-bit integers, they go through `np.linalg.svd`:
 the same report bytes, with a larger peak.
 
-svd-diff, angles, penalty and restore walk their matrices through
+svd-diff, angles, penalty and restore pair their matrices by
 `tensorstore.pair_matrices`, which gives each pair in key order with one
-loader per checkpoint. Each command decides when to load: svd-diff holds
-a pair's two matrices; the others drop each matrix before the next loads.
-Angles, penalty and restore also hand each decoded matrix over to
-`spectral.svd` as its only reference, so it is freed as soon as LAPACK's
-copy of it is made, one matrix below holding it through the decomposition.
-That needs CPython 3.11 or later: on 3.10 the caller keeps the matrix until
-the decomposition returns, so the peak is one matrix higher, with the same
-report bytes.
+loader per checkpoint, and run through one driver, `tensorstore.run_pairs`.
+It runs the command's job on each pair in key order: `_drift_parts`,
+`_angle_parts`, `_penalty_row`, or for restore `surgery._splice_target` on
+each of the plan's targets. A job returns plain data (detail rows and
+summary values, a penalty row, or restore records with their rounding
+errors), and the command writes its files from the results in that order.
+Each job decides when to load: svd-diff holds a pair's two matrices; the
+others drop each matrix before the next loads. Angles, penalty and restore
+also hand each decoded matrix over to `spectral.svd` as its only reference,
+so it is freed as soon as LAPACK's copy of it is made, one matrix below
+holding it through the decomposition.
 
 A manifest is a JSON object naming a `command` (svd-diff, angles, restore,
 adv-stats or penalty) plus that command's parameters:
@@ -96,7 +99,7 @@ from .surgery import (
     SurgeryPlan,
     run_surgery,
 )
-from .tensorstore import load_profile, open_checkpoint, pair_matrices
+from .tensorstore import load_profile, open_checkpoint, pair_matrices, run_pairs
 
 
 def _key_slug(key) -> str:
@@ -162,15 +165,14 @@ def _present_pairs(ckpt_a, ckpt_b, profile, kinds=None) -> list[tuple]:
 # svd-diff and angles
 
 
-def _run_compare(params: dict, command: str, stem: str, columns: tuple, parts, totals) -> int:
+def _run_compare(params: dict, command: str, stem: str, columns: tuple, job, totals) -> int:
     """Shared body of svd-diff and angles.
 
-    `columns` holds the part, detail and summary column names. For each
-    matrix pair of the `pair_matrices` walk, `parts(load_a, load_b)` lists
-    (part, detail rows, summary values), one per detail file: a single empty
-    part for svd-diff, one per side, holding the side, for angles. It gets
-    the walk's two loaders, so it decides when each matrix is loaded and how
-    long it is held. `totals(matrices)` adds report fields.
+    `columns` holds the part, detail and summary column names. The job,
+    run on each matrix pair of the `pair_matrices` walk by `run_pairs`,
+    lists (part, detail rows, summary values), one per detail file: a
+    single empty part for svd-diff, one per side, holding the side, for
+    angles. `totals(matrices)` adds report fields.
     """
     part_cols, detail_cols, summary_cols = columns
     ckpt_a, ckpt_b = open_checkpoint(params["a"]), open_checkpoint(params["b"])
@@ -180,9 +182,9 @@ def _run_compare(params: dict, command: str, stem: str, columns: tuple, parts, t
     summary_rows = []
     plot_rows = []
     with _staged_out(params["out"]) as stage:
-        for key, name_a, _, load_a, load_b in pairs:
+        for (key, name_a, *_), parts in run_pairs(job, pairs):
             slug = _key_slug(key)
-            for part, rows, values in parts(load_a, load_b):
+            for part, rows, values in parts:
                 write_csv(stage / ("__".join((stem, slug, *part)) + ".csv"), detail_cols, rows)
                 summary_rows.append((key, name_a, *part, *values))
                 plot_rows.extend((slug, *part, *row) for row in rows)
@@ -203,22 +205,20 @@ def _run_compare(params: dict, command: str, stem: str, columns: tuple, parts, t
     return 0
 
 
-def _drift_parts(load_a, load_b) -> list[tuple]:
+def _drift_parts(pair) -> list[tuple]:
+    *_, load_a, load_b = pair
     spec = delta_sigma(load_a(), load_b())
-    rows = [
-        (i, float(spec.sigma_a[i]), float(spec.sigma_b[i]), float(spec.delta[i]))
-        for i in range(spec.delta.shape[0])
-    ]
+    rows = [(i, float(a), float(b), float(delta))
+            for i, (a, b, delta) in enumerate(zip(spec.sigma_a, spec.sigma_b, spec.delta))]
     return [((), rows, (spec.delta.shape[0], spec.max_abs, spec.mean, spec.rel_drift))]
 
 
-def _angle_parts(load_a, load_b) -> list[tuple]:
+def _angle_parts(pair) -> list[tuple]:
+    *_, load_a, load_b = pair
     parts = []
     for spec in matrix_angles(load_a, load_b):
-        rows = [
-            (i, float(spec.cosines[i]), float(spec.angles_rad[i]), float(spec.angles_deg[i]))
-            for i in range(spec.rank)
-        ]
+        rows = [(i, float(cos), float(rad), float(deg)) for i, (cos, rad, deg)
+                in enumerate(zip(spec.cosines, spec.angles_rad, spec.angles_deg))]
         degrees = [np.degrees(x) for x in (spec.min_rad, spec.max_rad, spec.angles_rad.mean())]
         parts.append(((spec.side,), rows, (spec.rank, *map(float, degrees))))
     return parts
@@ -360,6 +360,16 @@ def run_adv_stats(params: dict) -> int:
 # penalty
 
 
+def _penalty_row(pair, ckpt_ref, rank: int) -> tuple:
+    """The penalty job: (rank used, penalty, degenerate boundary); one matrix held at a time."""
+    _, name_ref, _, load_ref, load_cur = pair
+    rank_used = min(rank, *ckpt_ref.index[name_ref].shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degeneracy lands in the table
+        ref = fit_reference(load_ref(), rank_used)
+    return rank_used, penalty_value(load_cur(), ref), ref.degenerate
+
+
 def run_penalty(params: dict) -> int:
     ckpt_ref, ckpt_cur = open_checkpoint(params["ref"]), open_checkpoint(params["current"])
     profile = load_profile(params["profile"])
@@ -369,16 +379,9 @@ def run_penalty(params: dict) -> int:
         raise ValidationError(f"rank must be >= 1, got {rank}")
     rows = []
     per_kind: dict[str, float] = {}
-    for key, name_ref, _, load_ref, load_cur in pairs:
-        rank_used = min(rank, *ckpt_ref.index[name_ref].shape)
-        # one matrix at a time: the reference is fitted and dropped before the current loads
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # degeneracy lands in the table
-            ref = fit_reference(load_ref(), rank_used)
-        value = penalty_value(load_cur(), ref)
-        rows.append((key, name_ref, rank_used, value, ref.degenerate))
-        per_kind[key.kind] = per_kind.get(key.kind, 0.0) + value
-        del ref
+    for (key, name_ref, *_), row in run_pairs(_penalty_row, pairs, ckpt_ref, rank):
+        rows.append((key, name_ref, *row))
+        per_kind[key.kind] = per_kind.get(key.kind, 0.0) + row[1]
 
     payload = _base_report("penalty", params["stamp"])
     payload.update(

@@ -41,7 +41,7 @@ def fit_reference(w_ref: np.ndarray, rank: int) -> PenaltyRef:
     (sigma_{r+1} = 0 at full rank), where the chosen basis is arbitrary.
     `w_ref` is never written. Passed as the only reference, as in
     `fit_reference(load(), rank)`, it is handed over to `svd` and freed
-    before the decomposition allocates (CPython 3.11 or later; see `svd`).
+    before the decomposition allocates (see `svd`).
     """
     held = [ensure_matrix(w_ref, "reference matrix")]
     del w_ref

@@ -212,14 +212,12 @@ def svd(w: np.ndarray, keep: int | None = None) -> SvdTriple:
     `v` hold only their leading `keep` columns; `sigma` stays whole.
 
     `w` is never written. A caller that passes `w` as its only reference,
-    as in `svd(load())`, hands it over: `svd` keeps no reference of its own,
-    so `w` is freed once `_lapack_svd` has copied it for LAPACK, and does
-    not live through the decomposition. A caller that holds `w` keeps it,
-    and the decomposition then rises about one matrix higher. The hand-over
-    needs CPython 3.11 or later, where a call from Python code to a Python
-    function moves its argument references into the callee; on 3.10 the
-    caller's stack holds `w` until the call returns, so the peak is that of
-    a held `w`, with the same bytes.
+    as in `svd(load())`, hands it over: a call from Python code to a Python
+    function moves its argument references into the callee, and `svd`
+    keeps no reference of its own, so `w` is freed once `_lapack_svd` has
+    copied it for LAPACK, and does not live through the decomposition. A
+    caller that holds `w` keeps it, and the decomposition then rises about
+    one matrix higher.
     """
     held = [ensure_matrix(w)]
     del w
@@ -408,9 +406,9 @@ def matrix_angles(
     pair is loaded and checked but not decomposed. A rectangular pair is
     decomposed for the angles of its other side: A first, keeping only
     that side's basis, then B. Each loaded matrix is handed over to `svd`,
-    so it is freed before its decomposition allocates (CPython 3.11 or
-    later; see `svd`); for that, a loader should return an array that no
-    one else holds, as `tensorstore.load_matrix` does.
+    so it is freed before its decomposition allocates (see `svd`); for
+    that, a loader should return an array that no one else holds, as
+    `tensorstore.load_matrix` does.
     """
     shape, basis_a = _partial_basis(load_a, "A")
     _, basis_b = _partial_basis(load_b, "B", shape)

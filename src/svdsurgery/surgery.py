@@ -35,6 +35,7 @@ from .tensorstore import (
     MatrixKey,
     NamingProfile,
     pair_matrices,
+    run_pairs,
     write_checkpoint,
 )
 
@@ -284,8 +285,6 @@ def plan_selection(plan: SurgeryPlan) -> list[tuple[Target, list[np.ndarray | No
     resolves for that matrix (possibly none); it gives None to a matrix its
     layers leave out. A matrix that every grid point leaves out is dropped,
     and one that some grid point takes and the donor lacks is an error.
-    `SurgeryPlan` runs this once, when it is built, and keeps the result as
-    `targets`.
     """
     paired = pair_matrices(plan.host, plan.donor, plan.profile, plan.kinds)
     host_layers = sorted({key.layer for key, *_ in paired})
@@ -305,38 +304,40 @@ def plan_selection(plan: SurgeryPlan) -> list[tuple[Target, list[np.ndarray | No
 
 
 def _splice_target(
+    target_ranks: tuple[Target, list[np.ndarray | None]],
     plan: SurgeryPlan,
-    target: Target,
-    points: list[tuple[np.ndarray, CheckpointWriter]],
-) -> list[MatrixRecord]:
-    """The record of one target for each (ranks, writer) grid point that takes it.
+    writers: list[CheckpointWriter],
+) -> list[tuple[int, MatrixRecord, float | None]]:
+    """The restore job: (grid point, record, rounding error) of one of `plan.targets`.
 
-    Host and donor are decomposed once, and only when some grid point
-    selects ranks of this matrix. The donor goes first, and only what the
-    mixing reads of it is kept while the host decomposes: `svd(w, keep)`
+    One triple per grid point that takes the target, in grid order. Each
+    edit goes to its grid point's writer in `writers` as soon as its record
+    is taken, and the error is the one the writer returns; a copied record
+    has None. Host and donor are decomposed once, and only when some grid
+    point selects ranks of this matrix. The donor goes first, and only what
+    the mixing reads of it is kept while the host decomposes: `svd(w, keep)`
     keeps its whole `sigma` and its leading `u` and `v` columns up to the
     highest rank any grid point selects (none in values mode). Neither
-    float64 matrix is held across the other's decomposition: the target's
-    loaders decode each again for every grid point's distances. Each matrix
-    is handed over to `svd` as the only reference, so it is freed before
-    LAPACK's factors are allocated (CPython 3.11 or later; see `svd`). A
-    grid point's distances subtract its mixed matrix into the freshly
-    decoded host, and then into the freshly decoded donor, each dropped
-    before the next decode, so no m x n difference is allocated. Each mixed
-    matrix goes to its grid point's writer as soon as its record is taken,
-    so no float64 result outlives its grid point.
+    float64 matrix is held across the other's decomposition: the loaders
+    decode each again for every grid point's distances. Each matrix is
+    handed over to `svd` as the only reference, so it is freed before
+    LAPACK's factors are allocated (see `svd`). A grid point's distances
+    subtract its mixed matrix into the freshly decoded host, and then into
+    the freshly decoded donor, each dropped before the next decode, so no
+    m x n difference is allocated, and no float64 result outlives its grid
+    point.
     """
-    key, host_name, _, load_host, load_donor = target
-    if not any(ranks.size for ranks, _ in points):
+    (key, host_name, _, load_host, load_donor), point_ranks = target_ranks
+    points = [(i, ranks) for i, ranks in enumerate(point_ranks) if ranks is not None]
+    results = [(i, MatrixRecord(key=key, tensor=host_name, status="copied"), None) for i, _ in points]
+    if not any(ranks.size for _, ranks in points):
         load_host()  # a non-finite host fails as it would if edited
-        return [MatrixRecord(key=key, tensor=host_name, status="copied") for _ in points]
-    keep = 0 if plan.mode == "values" else 1 + max(int(r.max()) for r, _ in points if r.size)
+        return results
+    keep = 0 if plan.mode == "values" else 1 + max(int(r.max()) for _, r in points if r.size)
     donor_t = svd(load_donor(), keep)
     host_t = svd(load_host())
-    records = []
-    for ranks, writer in points:
+    for j, (i, ranks) in enumerate(points):
         if ranks.size == 0:
-            records.append(MatrixRecord(key=key, tensor=host_name, status="copied"))
             continue
         point_donor_t = (
             _aligned_donor(host_t, donor_t, ranks) if plan.align == "procrustes" else donor_t
@@ -351,23 +352,15 @@ def _splice_target(
         np.subtract(w_out, diff, out=diff)
         fro_vs_donor = float(np.linalg.norm(diff))
         del diff
-        records.append(MatrixRecord(
-            key=key,
-            tensor=host_name,
-            status="edited",
-            ranks_touched=int(ranks.size),
-            rank_lo=int(ranks.min()),
-            rank_hi=int(ranks.max()),
-            fro_vs_host=fro_vs_host,
-            fro_vs_donor=fro_vs_donor,
-            max_entry_change=max_entry_change,
-            degenerate_boundary=any(
-                boundary_gap(t.sigma, ranks)[1] for t in (host_t, point_donor_t)
-            ),
-        ))
-        writer.write_edit(host_name, w_out)
+        record = MatrixRecord(
+            key=key, tensor=host_name, status="edited", ranks_touched=int(ranks.size),
+            rank_lo=int(ranks.min()), rank_hi=int(ranks.max()), fro_vs_host=fro_vs_host,
+            fro_vs_donor=fro_vs_donor, max_entry_change=max_entry_change,
+            degenerate_boundary=any(boundary_gap(t.sigma, ranks)[1] for t in (host_t, point_donor_t)),
+        )
+        results[j] = (i, record, writers[i].write_edit(host_name, w_out))
         del w_out, point_donor_t  # free before the next grid point mixes its own
-    return records
+    return results
 
 
 def run_surgery(
@@ -380,15 +373,11 @@ def run_surgery(
     point leaves unedited, copied byte-exact. A grid point edits the
     targets it resolved ranks for (`plan.targets`), each stored in the
     host's dtype, or in F32 when `force_f32`; this is the one place an
-    edit's dtype is decided. The run then walks the plan's `targets` once,
-    in key order, and through their loaders decomposes each matrix once,
-    donor first, keeping only the donor columns that the mixing reads. It
-    hands each grid point's mixed_matrix output to that grid point's writer,
-    which narrows it to its slot's dtype and writes it in place (see
-    `_splice_target`). A selection that resolves to no ranks leaves the
-    tensor untouched, and a matrix no grid point selects ranks of gets no
-    SVD. So the run holds one matrix's working set at a time, however many
-    layers and grid points the plan has.
+    edit's dtype is decided. `run_pairs` then runs the restore job,
+    `_splice_target`, on each target once, in key order, and the job
+    writes each edit as it makes it. A matrix no grid point selects ranks
+    of gets no SVD, and the run holds one matrix's working set at a time,
+    however many layers and grid points the plan has.
 
     An output that is the host or the donor file, or that two grid points
     share, is refused before any output is opened. If the run fails, every
@@ -408,7 +397,6 @@ def run_surgery(
                if ranks[point] is not None and ranks[point].size)
         for point in range(len(plan.grid))
     ]
-    records: list[list[MatrixRecord]] = [[] for _ in plan.grid]
     started = []
     try:
         writers = []
@@ -416,11 +404,8 @@ def run_surgery(
             started.append(out)
             dtypes = {name: "F32" if force_f32 else plan.host.index[name].dtype for name in names}
             writers.append(write_checkpoint(plan.host, dtypes, out))
-        for target, ranks in plan.targets:  # in key order, so records append in that order
-            users = [i for i, point_ranks in enumerate(ranks) if point_ranks is not None]
-            points = [(ranks[i], writers[i]) for i in users]
-            for i, record in zip(users, _splice_target(plan, target, points)):
-                records[i].append(record)
+        jobs = run_pairs(_splice_target, plan.targets, plan, writers)
+        results = [result for _, target_results in jobs for result in target_results]
     except BaseException:
         for out in started:
             with contextlib.suppress(OSError):
@@ -430,9 +415,10 @@ def run_surgery(
     return [
         SurgeryReport(
             plan=plan.echo(point),
-            records=point_records,
+            records=[record for i, record, _ in results if i == point],
             copied_tensors=sorted(set(plan.host.index) - set(names)),
-            rounding_errors=dict(writer.rounding_errors),
+            rounding_errors={record.tensor: error for i, record, error in results
+                             if i == point and error is not None},
         )
-        for point, (point_records, names, writer) in enumerate(zip(records, edited, writers))
+        for point, names in enumerate(edited)
     ]

@@ -24,8 +24,8 @@ import math
 import os
 import re
 import struct
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -231,15 +231,14 @@ class CheckpointWriter:
     path: Path
     #: edited tensor name -> (dtype, start, end) of its bytes in the file
     slots: dict[str, tuple[str, int, int]]
-    #: edited tensor name -> max |stored - requested| of the edit written there so far
-    rounding_errors: dict[str, float] = field(default_factory=dict)
 
-    def write_edit(self, name: str, values: np.ndarray) -> None:
+    def write_edit(self, name: str, values: np.ndarray) -> float:
         """Narrow float64 `values` to the dtype of tensor `name`'s slot and write them there.
 
         The values must have the tensor's shape in the base and be finite;
         they are rounded to nearest-even, and a value beyond the slot
         dtype's range is a NumericalError. Nothing is written on an error.
+        Returns the rounding error, max |stored - requested|.
         """
         if name not in self.slots:
             raise ValidationError(f"tensor {name!r} has no edit slot in {self.path}")
@@ -265,7 +264,7 @@ class CheckpointWriter:
                 fh.write(data)
         except OSError as exc:
             raise WriteError(f"cannot write checkpoint to {self.path}: {exc}") from exc
-        self.rounding_errors[name] = err
+        return err
 
 
 def write_checkpoint(
@@ -517,3 +516,15 @@ def pair_matrices(
         load_b = None if name_b is None else functools.partial(load_matrix, b, name_b)
         pairs.append((key, name_a, name_b, functools.partial(load_matrix, a, name_a), load_b))
     return pairs
+
+
+def run_pairs(job: Callable, pairs: list, *args) -> Iterator[tuple]:
+    """The one driver of the matrix commands: (pair, `job(pair, *args)`) per pair, in order.
+
+    `pairs` is a `pair_matrices` walk or a restore plan's `targets`. A job is
+    a module-level function that loads through the pair's loaders and
+    returns plain data holding no matrix, so a job, its pair and its
+    arguments pickle. Jobs run here, one at a time, in key order.
+    """
+    for pair in pairs:
+        yield pair, job(pair, *args)

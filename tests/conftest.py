@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import struct
-import sys
 import tracemalloc
 import weakref
 from dataclasses import dataclass
@@ -112,15 +111,6 @@ def synth_pair(tmp_path):
         return tuple(paths)
 
     return _build
-
-
-#: a matrix passed as the only reference is freed inside the callee only
-#: where CPython moves call arguments into the callee's frame
-needs_handover = pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="before CPython 3.11 the caller's stack holds every call argument until the call "
-           "returns, so a handed-over matrix cannot be freed during its decomposition",
-)
 
 
 class HandOverWatch:

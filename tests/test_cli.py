@@ -218,6 +218,30 @@ def test_missing_input_file_exits_2(pair, tmp_path):
     assert files(out) == {}
 
 
+def test_inspect_prints_the_index_and_metadata_keys(write_container, tmp_path, capsys):
+    path = write_container(
+        {
+            "b.w": ("F32", np.zeros((2, 3))),
+            "a.w": ("BF16", np.zeros((4, 2), dtype=np.uint16)),
+            "c.bias": ("F32", np.zeros(5)),
+        },
+        metadata={"format": "pt", "author": "x"},
+    )
+    assert cli.main(["inspect", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"checkpoint: {path}",
+        "tensors: 3",
+        f"payload bytes: {2 * 3 * 4 + 4 * 2 * 2 + 5 * 4}",
+        "  BF16: 1",
+        "  F32: 2",
+        "metadata keys: author, format",
+    ]
+    missing = tmp_path / "nope.safetensors"
+    assert cli.main(["inspect", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: checkpoint file not found: {missing}\n")
+
+
 # ---------------------------------------------------------------------------
 # report layouts
 

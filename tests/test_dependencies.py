@@ -2,9 +2,8 @@
 
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,6 +25,5 @@ def test_importing_the_package_loads_no_scipy():
 
 
 def test_numpy_is_the_only_runtime_dependency():
-    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == ["numpy>=1.24"]

@@ -7,7 +7,7 @@ from svdsurgery.errors import ValidationError
 from svdsurgery.penalty import fit_reference, penalty_grad, penalty_value
 from svdsurgery.tensorstore import load_matrix, open_checkpoint
 
-from conftest import TALL_NAME, needs_handover, spectral_matrix, traced_peak
+from conftest import TALL_NAME, spectral_matrix, traced_peak
 
 
 def fd_gradient(w, ref, h=1e-6):
@@ -29,7 +29,6 @@ def rotation2(theta):
 # reference fitting
 
 
-@needs_handover
 def test_fit_reference_hands_its_matrix_over_to_svd(handover_watch):
     w = spectral_matrix(np.random.default_rng(2), 12, 7, np.linspace(5.0, 1.0, 7))
     ref = fit_reference(handover_watch.fresh(w), 3)
@@ -44,7 +43,6 @@ def test_fit_reference_leaves_a_held_matrix_unchanged():
     assert w.tobytes() == before.tobytes()
 
 
-@needs_handover
 def test_fit_reference_peak_is_at_most_4_2_matrices(tall_pair):
     # with the matrix held through its decomposition, about 4.7
     host_path, _, matrix_bytes = tall_pair

@@ -86,3 +86,44 @@ def test_penalty_is_the_planted_closed_form(t, tmp_path):
         assert abs(value) <= 1e-12 * np.linalg.norm(BASE.matrix) ** 2
     else:
         assert abs(value - want) <= 1e-12 * want
+
+
+def text_column(path, name) -> list[str]:
+    with open(path, newline="") as fh:
+        return [row[name] for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("t", range(1, len(STEPS)))
+def test_restore_then_measure_finds_the_spliced_values_and_the_hosts_bases(t, tmp_path):
+    # a values restore puts the base's top-k singular values on step t's
+    # bases; each of the four matrix commands then measures what it spliced
+    k = BASE.theta.shape[0]
+    donor = write_step(tmp_path / "base.safetensors", BASE, "F64")
+    host = write_step(tmp_path / f"step{t}.safetensors", STEPS[t], "F64")
+    assert cli.main(["restore", "--mode", "values", "--ranks", f"top:{k}", "--kinds", "mlp_up",
+                     "--donor", donor, "--host", host, "--out", str(tmp_path / "restore")]) == 0
+    spliced = str(tmp_path / "restore" / f"values__layers-all__ranks-top-{k}.safetensors")
+
+    def measure(command, *argv):
+        out = tmp_path / f"{command}-{len(list(tmp_path.iterdir()))}"
+        assert cli.main([command, *argv, "--out", str(out)]) == 0
+        return out
+
+    forward = measure("svd-diff", "--a", donor, "--b", spliced) / "delta_sigma__L000_mlp_up.csv"
+    delta = column(forward, "delta")
+    assert np.max(np.abs(delta[:k])) <= 1e-12 * BASE.sigma[0]
+
+    # swapped, the same two decompositions trade columns, so the drift is negated exactly
+    # (a zero difference reads 0.0 both ways)
+    swapped = measure("svd-diff", "--a", spliced, "--b", donor) / "delta_sigma__L000_mlp_up.csv"
+    assert text_column(swapped, "sigma_a") == text_column(forward, "sigma_b")
+    assert text_column(swapped, "sigma_b") == text_column(forward, "sigma_a")
+    assert column(swapped, "delta").tolist() == (-delta).tolist()
+
+    angles = measure("angles", "--a", host, "--b", spliced)
+    assert np.max(column(angles / "angles__L000_mlp_up__left.csv", "angle_rad")) <= 1e-10
+
+    # the spliced matrix only rescales the host's own top-k directions, which costs nothing
+    penalty = measure("penalty", "--ref", host, "--current", spliced, "--rank", str(k))
+    (value,) = column(penalty / "penalty.csv", "penalty")
+    assert abs(value) <= 1e-12 * np.linalg.norm(STEPS[t].matrix) ** 2

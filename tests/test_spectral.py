@@ -26,7 +26,7 @@ from svdsurgery.spectral import (
 )
 from svdsurgery.tensorstore import load_matrix, open_checkpoint
 
-from conftest import TALL_NAME, needs_handover, reconstruct, spectral_matrix, traced_peak
+from conftest import TALL_NAME, reconstruct, spectral_matrix, traced_peak
 
 
 def plane_rotation(m: int, i: int, j: int, theta: float) -> np.ndarray:
@@ -241,7 +241,6 @@ print((hwm_bytes() - before) / w.nbytes)
     assert float(done.stdout) <= 5.0
 
 
-@needs_handover
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
 def test_a_handed_over_svd_peak_is_at_most_3_6_times_its_matrix():
     # the matrix is freed once LAPACK's copy of it is made, so one svd rises
@@ -269,7 +268,6 @@ print((hwm_bytes() - before) / nbytes)
     assert float(done.stdout) <= 3.6
 
 
-@needs_handover
 def test_svd_frees_a_handed_over_matrix_before_dgesdd(handover_watch):
     w = np.random.default_rng(3).standard_normal((30, 12))
     t = svd(handover_watch.fresh(w))
@@ -390,7 +388,6 @@ def test_tall_pair_drops_a_before_b_is_decomposed(monkeypatch):
     assert left.max_rad > 1e-3
 
 
-@needs_handover
 @pytest.mark.parametrize("shape", [(9, 5), (5, 9)])
 def test_matrix_angles_hands_each_matrix_over_to_its_svd(shape, handover_watch):
     rng = np.random.default_rng(10)
@@ -403,7 +400,6 @@ def test_matrix_angles_hands_each_matrix_over_to_its_svd(shape, handover_watch):
     assert handover_watch.calls == 4
 
 
-@needs_handover
 def test_matrix_angles_peak_is_at_most_5_2_matrices(tall_pair):
     # with each matrix held through its own decomposition, about 5.7
     host_path, donor_path, matrix_bytes = tall_pair

@@ -18,7 +18,7 @@ from svdsurgery.surgery import (
 )
 from svdsurgery.tensorstore import load_matrix, load_profile, open_checkpoint
 
-from conftest import needs_handover, pack_container, reconstruct, spectral_matrix, traced_peak
+from conftest import pack_container, reconstruct, spectral_matrix, traced_peak
 
 
 def rotation2(theta_deg: float) -> np.ndarray:
@@ -394,7 +394,6 @@ def test_run_surgery_holds_no_whole_donor_triple_while_the_host_decomposes(tall_
         assert peak < 5.5 * matrix_bytes, (mode, peak / matrix_bytes)
 
 
-@needs_handover
 @pytest.mark.parametrize("mode", ["vectors", "values"])
 def test_restore_hands_each_decoded_matrix_over_to_its_svd(mode, tall_pair, handover_watch,
                                                            tmp_path, monkeypatch):
@@ -408,7 +407,6 @@ def test_restore_hands_each_decoded_matrix_over_to_its_svd(mode, tall_pair, hand
     assert len(handover_watch.refs) == 4  # host and donor decomposed, then reloaded
 
 
-@needs_handover
 @pytest.mark.parametrize("mode", ["vectors", "values"])
 def test_restore_peak_is_at_most_4_3_matrices(mode, tall_pair, tmp_path):
     # with each matrix held through its own decomposition, and two m x n
@@ -447,10 +445,11 @@ class _KeptEdits:
 @pytest.mark.parametrize("mode", ["vectors", "values"])
 def test_splice_distances_are_the_plain_differences_bit_for_bit(mode, synth_pair):
     plan = _make_plan(*synth_pair(layers=1), mode=mode, ranks="top:3")
-    for target, ranks in plan.targets:
-        key, host_name, _, load_host, load_donor = target
+    for target_ranks in plan.targets:
+        key, host_name, _, load_host, load_donor = target_ranks[0]
         writer = _KeptEdits()
-        [record] = surgery._splice_target(plan, target, [(ranks[0], writer)])
+        [(point, record, _)] = surgery._splice_target(target_ranks, plan, [writer])
+        assert point == 0
         w_out = writer.edits[host_name]
         diff = w_out - load_host()
         want = (np.linalg.norm(diff), np.max(np.abs(diff)), np.linalg.norm(w_out - load_donor()))
