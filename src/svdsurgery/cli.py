@@ -50,10 +50,13 @@ adv-stats or penalty) plus that command's parameters:
 - `output_dir` is another name for `out`;
 - `sweep` (restore only) is an object holding `layers` and/or `ranks`,
   each a non-empty list of selector strings; each list replaces the single
-  selector, and every (layers, ranks) pair is one grid point with its own
-  outputs. A restore is one plan over all its grid points: each matrix is
-  decomposed once per restore, not once per grid point, and memory does
-  not grow with the number of layers or grid points (see
+  selector. Each distinct pair of parsed selectors is one grid point with
+  its own outputs, named from the selectors' canonical text, the text the
+  reports echo: `TOP:4`, ` top:4` and `top:04` are all `top:4`, and
+  `list:1,0` is `list:0,1`. The `--layers` and `--ranks` flags are named
+  the same way. A restore is one plan over all its grid points: each
+  matrix is decomposed once per restore, not once per grid point, and
+  memory does not grow with the number of layers or grid points (see
   `surgery.run_surgery`).
 
 Any other key is an error. `kinds` may be a list of strings or a
@@ -106,8 +109,8 @@ def _key_slug(key) -> str:
     return f"L{key.layer:03d}_{key.kind}"
 
 
-def _selector_slug(text: str) -> str:
-    return text.replace(":", "-").replace(",", "-")
+def _selector_slug(selector) -> str:
+    return str(selector).replace(":", "-").replace(",", "-")
 
 
 @contextlib.contextmanager
@@ -255,19 +258,18 @@ def run_restore(params: dict) -> int:
     donor, host = open_checkpoint(params["donor"]), open_checkpoint(params["host"])
     profile = load_profile(params["profile"])
     sweep = params.get("sweep") or {}
-    points = list(dict.fromkeys(  # a repeated selector names the same output
-        (layers, ranks)
+    grid = list(dict.fromkeys(  # spellings of one selection are one grid point
+        (LayerSelector.parse(layers), RankSelector.parse(ranks))
         for layers in sweep.get("layers") or [params["layers"]]
         for ranks in sweep.get("ranks") or [params["ranks"]]
     ))
-    grid = [(LayerSelector.parse(layers), RankSelector.parse(ranks)) for layers, ranks in points]
     plan = SurgeryPlan(
         mode=params["mode"], donor=donor, host=host, profile=profile, grid=grid,
         kinds=params["kinds"], align=params["align"],
     )
     stems = [
         f"{plan.mode}__layers-{_selector_slug(layers)}__ranks-{_selector_slug(ranks)}"
-        for layers, ranks in points
+        for layers, ranks in grid
     ]
 
     with _staged_out(params["out"]) as stage:

@@ -160,25 +160,34 @@ def _lapack_svd(arr: np.ndarray, compute_uv: bool, keep: int | None = None):
     sigma, U, V^T and the workspace are allocated, so an `arr` handed over
     as the only reference (see `svd`) is freed there. The workspace and the
     copy are freed before U and V^T are copied to the C order NumPy returns
-    them in; with `keep`, only U's leading `keep` columns and V^T's rows,
-    into arrays allocated before LAPACK's, so that those are not freed
-    around them. Where `_gesdd` is None it calls `np.linalg.svd` on `arr`
-    itself, and copies the same part: the same bytes with a larger peak.
+    them in; with `keep`, only U's leading `keep` columns and V^T's rows.
+    Where `_gesdd` is None it calls `np.linalg.svd` on `arr` itself, and
+    copies the same part: the same bytes. Both routes allocate the kept
+    arrays before the decomposition's own, so that those are not freed
+    around them; the fallback's larger peak comes only from NumPy's own
+    buffers and the `arr` it still holds.
 
-    A non-zero `info` (non-convergence) is raised as NumericalError.
+    A `keep` outside [0, min(m, n)] is a ValidationError, and a non-zero
+    `info` (non-convergence) is raised as NumericalError.
     """
+    m, n = arr.shape
+    k = min(m, n)
+    if keep is not None and not 0 <= keep <= k:
+        raise ValidationError(f"keep must be between 0 and {k} for a {m}x{n} matrix, got {keep}")
     gesdd = _gesdd()
     if gesdd is None:
+        if keep is not None:
+            u_keep, vt_keep = np.empty((m, keep)), np.empty((keep, n))
         try:
             out = np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge: {exc}") from exc
         if keep is None or not compute_uv:
             return out
-        return out[0][:, :keep].copy(), out[1], out[2][:keep].copy()
+        u, s, vt = out
+        u_keep[...], vt_keep[...] = u[:, :keep], vt[:keep]
+        return u_keep, s, vt_keep
 
-    m, n = arr.shape
-    k = min(m, n)
     a = np.array(arr, dtype=np.float64, order="F")  # dgesdd overwrites it
     del arr
     s = np.empty(k)
@@ -209,7 +218,8 @@ def svd(w: np.ndarray, keep: int | None = None) -> SvdTriple:
     C-ordered `vt`, so no further copy of either factor is made: `u` is
     C-ordered and `v` F-ordered, and every entry equals `sign_canonicalize`
     of the same factors, since a flip by -1 is exact. With `keep`, `u` and
-    `v` hold only their leading `keep` columns; `sigma` stays whole.
+    `v` hold only their leading `keep` columns; `sigma` stays whole. A
+    `keep` outside [0, min(m, n)] is a ValidationError on either route.
 
     `w` is never written. A caller that passes `w` as its only reference,
     as in `svd(load())`, hands it over: a call from Python code to a Python

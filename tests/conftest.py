@@ -98,12 +98,17 @@ def synth_decoder_arrays(seed: int, layers: int = 2, dim: int = 12, kv_dim: int 
 
 @pytest.fixture
 def synth_pair(tmp_path):
-    """Two decoder-style F64 checkpoints with different spectra and bases."""
+    """Two decoder-style F64 checkpoints with different spectra and bases.
 
-    def _build(layers: int = 2, dim: int = 12, kv_dim: int = 8, seeds=(11, 23)):
+    `transform(tag, name, matrix)`, if given, replaces each matrix before it is written.
+    """
+
+    def _build(layers: int = 2, dim: int = 12, kv_dim: int = 8, seeds=(11, 23), transform=None):
         paths = []
         for tag, seed in zip(("host", "donor"), seeds):
             arrays = synth_decoder_arrays(seed, layers=layers, dim=dim, kv_dim=kv_dim)
+            if transform is not None:
+                arrays = {name: transform(tag, name, arr) for name, arr in arrays.items()}
             tensors = {name: ("F64", arr) for name, arr in arrays.items()}
             path = tmp_path / f"{tag}.safetensors"
             path.write_bytes(pack_container(tensors))

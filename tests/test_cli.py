@@ -919,6 +919,23 @@ def test_sweep_with_a_repeated_selector_writes_each_output_once(pair, tmp_path):
     assert swept == files(out)
 
 
+def test_spellings_of_one_selection_are_one_grid_point_named_canonically(pair, tmp_path):
+    out = tmp_path / "out"
+    sweep = {"layers": ["list:1,0", "LIST:0,1"], "ranks": ["top:4", "TOP:4", " top:4"]}
+    assert run_manifest(tmp_path, restore_manifest(pair, out, mode="values", sweep=sweep)) == 0
+    stem = "values__layers-list-0-1__ranks-top-4"
+    swept = files(out)
+    assert set(swept) == {f"{stem}.safetensors", f"{stem}.report.csv", f"{stem}.report.json"}
+    report = json.loads(swept[f"{stem}.report.json"])
+    assert (report["plan"]["layers"], report["plan"]["ranks"]) == ("list:0,1", "top:4")
+    assert report["output_checkpoint"] == str(out / f"{stem}.safetensors")
+    shutil.rmtree(out)
+    host, donor = (str(p) for p in pair)
+    assert cli.main(["restore", "--mode", "values", "--host", host, "--donor", donor,
+                     "--layers", "LIST:1,0", "--ranks", " TOP:04", "--out", str(out)]) == 0
+    assert files(out) == swept
+
+
 def test_sweep_holds_edits_narrowed_not_in_float64(tmp_path):
     dim, kv_dim, layers = 256, 64, 3
     for tag, seed in (("host", 11), ("donor", 23)):

@@ -184,6 +184,14 @@ def test_svd_keep_is_the_full_svd_truncated_bit_for_bit(name, lapack_path):
         assert t.v.tobytes() == full.v[:, :keep].tobytes()
 
 
+@pytest.mark.parametrize("keep", [-1, 3, 5])
+def test_svd_keep_outside_the_thin_rank_is_a_validation_error(keep, lapack_path):
+    w = np.arange(6.0).reshape(3, 2)
+    with pytest.raises(ValidationError, match=f"keep must be between 0 and 2.*got {keep}") as exc:
+        svd(w, keep)
+    assert exc.value.exit_code == 2
+
+
 def test_boundary_gap_is_none_without_a_boundary():
     sigma = np.array([3.0, 2.0, 1.0])
     assert spectral.boundary_gap(sigma, np.arange(0)) == (None, False)
