@@ -75,10 +75,6 @@ class TrajectoryTrace:
         if not (np.all(np.isfinite(self.rewards)) and np.all(np.isfinite(self.values))):
             raise NumericalError("trace contains non-finite entries")
 
-    @property
-    def length(self) -> int:
-        return self.rewards.shape[0]
-
 
 def gae(trace: TrajectoryTrace, p: GaeParams) -> np.ndarray:
     """Advantages by the backward recursion A_t = delta_t + gamma*lam*A_{t+1}."""

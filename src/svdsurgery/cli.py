@@ -50,14 +50,16 @@ adv-stats or penalty) plus that command's parameters:
 - `output_dir` is another name for `out`;
 - `sweep` (restore only) is an object holding `layers` and/or `ranks`,
   each a non-empty list of selector strings; each list replaces the single
-  selector. Each distinct pair of parsed selectors is one grid point with
-  its own outputs, named from the selectors' canonical text, the text the
-  reports echo: `TOP:4`, ` top:4` and `top:04` are all `top:4`, and
-  `list:1,0` is `list:0,1`. The `--layers` and `--ranks` flags are named
-  the same way. A restore is one plan over all its grid points: each
-  matrix is decomposed once per restore, not once per grid point, and
-  memory does not grow with the number of layers or grid points (see
-  `surgery.run_surgery`).
+  selector. Every count in a selector is written in ASCII digits, with
+  spaces allowed around it; any other count, such as `1_6`, `+4` or `-1`,
+  is an error (exit 2). Each distinct pair of parsed selectors is one grid
+  point with its own outputs, named from the selectors' canonical text, the
+  text the reports echo: `TOP:4`, ` top:4`, `top: 4` and `top:04` are all
+  `top:4`, and `list:1, 0` is `list:0,1`. The `--layers` and `--ranks`
+  flags are read and named the same way. A restore is one plan over all
+  its grid points: each matrix is decomposed once per restore, not once
+  per grid point, and memory does not grow with the number of layers or
+  grid points (see `surgery.run_surgery`).
 
 Any other key is an error. `kinds` may be a list of strings or a
 comma-separated string.
@@ -73,7 +75,6 @@ import os
 import shutil
 import sys
 import tempfile
-import warnings
 from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -95,7 +96,9 @@ from .penalty import fit_reference, penalty_value
 from .reports import write_csv, write_json
 from .spectral import delta_sigma, matrix_angles, one_blas_thread
 from .surgery import (
+    ALIGNMENTS,
     DEFAULT_SURGERY_KINDS,
+    MODES,
     LayerSelector,
     MatrixRecord,
     RankSelector,
@@ -366,9 +369,7 @@ def _penalty_row(pair, ckpt_ref, rank: int) -> tuple:
     """The penalty job: (rank used, penalty, degenerate boundary); one matrix held at a time."""
     _, name_ref, _, load_ref, load_cur = pair
     rank_used = min(rank, *ckpt_ref.index[name_ref].shape)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # degeneracy lands in the table
-        ref = fit_reference(load_ref(), rank_used)
+    ref = fit_reference(load_ref(), rank_used)
     return rank_used, penalty_value(load_cur(), ref), ref.degenerate
 
 
@@ -582,16 +583,18 @@ _COMMANDS = {
     ),
     "angles": (run_angles, "per-matrix principal angles between two checkpoints", _COMPARE),
     "restore": (run_restore, "splice singular values/vectors across checkpoints", [
-        ("--mode", {"required": True, "choices": ["values", "vectors"]}),
+        ("--mode", {"required": True, "choices": MODES}),
         ("--donor", {"required": True, "help": "checkpoint supplying the restored part"}),
         ("--host", {"required": True, "help": "checkpoint keeping everything else"}),
-        ("--layers", {"default": "all", "help": "all | first:K | last:K | list:I,J"}),
-        ("--ranks", {"default": "all", "help": "all | top:K | bottom:K | range:A:B"}),
+        ("--layers", {"default": "all",
+                      "help": "all | first:K | last:K | list:I,J (counts in ASCII digits)"}),
+        ("--ranks", {"default": "all",
+                     "help": "all | top:K | bottom:K | range:A:B (counts in ASCII digits)"}),
         _KINDS,
         _PROFILE,
         _OUT,
         ("--force-f32", {"action": "store_true", "default": False}),
-        ("--align", {"default": "none", "choices": ["none", "procrustes"]}),
+        ("--align", {"default": "none", "choices": ALIGNMENTS}),
         _STAMP,
     ]),
     "adv-stats": (run_adv_stats, "advantage-distribution statistics and verdict", [

@@ -9,13 +9,12 @@ SVD of the current matrix.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import DEGENERATE_GAP_RATIO, boundary_gap, ensure_matrix, svd
+from .spectral import boundary_gap, ensure_matrix, svd
 
 
 @dataclass
@@ -37,8 +36,9 @@ def fit_reference(w_ref: np.ndarray, rank: int) -> PenaltyRef:
     """Extract the top-`rank` singular subspaces of `w_ref`.
 
     The subspaces are the leading columns `svd(w_ref, rank)` keeps, frozen
-    here and never re-fit; a warning flags a degenerate `boundary_gap`
-    (sigma_{r+1} = 0 at full rank), where the chosen basis is arbitrary.
+    here and never re-fit. The returned `boundary_gap` (sigma_{r+1} = 0 at
+    full rank) and its `degenerate` flag mark where the chosen basis is
+    arbitrary; they are the only report of it, no warning is raised.
     `w_ref` is never written. Passed as the only reference, as in
     `fit_reference(load(), rank)`, it is handed over to `svd` and freed
     before the decomposition allocates (see `svd`).
@@ -50,9 +50,6 @@ def fit_reference(w_ref: np.ndarray, rank: int) -> PenaltyRef:
         raise ValidationError(f"rank {rank} out of range [1, {thin}]")
     t = svd(held.pop(), rank)
     gap, degenerate = boundary_gap(np.append(t.sigma, 0.0), np.arange(rank))
-    if degenerate:
-        warnings.warn(f"boundary gap {gap:.3e} below {DEGENERATE_GAP_RATIO:g} * sigma_1; "
-                      "the top-rank subspace is ill-defined", stacklevel=2)
     return PenaltyRef(u=t.u, v=t.v, rank=rank, boundary_gap=gap, degenerate=degenerate)
 
 

@@ -40,10 +40,20 @@ from .tensorstore import (
 )
 
 MODES = ("values", "vectors")
+ALIGNMENTS = ("none", "procrustes")
 
 
 # ---------------------------------------------------------------------------
 # selection
+
+
+def _count(text: str, axis: str, selector: str) -> int:
+    """A count of a `selector` text: ASCII digits, with outer whitespace allowed."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValidationError(f"bad {axis} selector {selector!r}: {text!r} is not a count "
+                              "in ASCII digits")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -59,23 +69,12 @@ class LayerSelector:
         text = text.strip().lower()
         if text == "all":
             return cls(rule="all")
-        if text.startswith("first:") or text.startswith("last:"):
-            rule, _, num = text.partition(":")
-            try:
-                k = int(num)
-            except ValueError as exc:
-                raise ValidationError(f"bad layer selector {text!r}") from exc
-            if k < 0:
-                raise ValidationError(f"layer count must be >= 0 in {text!r}")
-            return cls(rule=rule, count=k)
-        if text.startswith("list:"):
-            try:
-                idx = tuple(sorted({int(i) for i in text[5:].split(",")}))
-            except ValueError as exc:
-                raise ValidationError(f"bad layer selector {text!r}") from exc
-            if any(i < 0 for i in idx):
-                raise ValidationError(f"layer indices must be >= 0 in {text!r}")
-            return cls(rule="list", indices=idx)
+        rule, _, counts = text.partition(":")
+        if rule in ("first", "last"):
+            return cls(rule=rule, count=_count(counts, "layer", text))
+        if rule == "list":
+            indices = {_count(i, "layer", text) for i in counts.split(",")}
+            return cls(rule="list", indices=tuple(sorted(indices)))
         raise ValidationError(f"bad layer selector {text!r}; use all|first:K|last:K|list:I,J")
 
     def resolve(self, available: list[int]) -> set[int]:
@@ -110,26 +109,15 @@ class RankSelector:
         text = text.strip().lower()
         if text == "all":
             return cls(rule="all")
-        if text.startswith("top:") or text.startswith("bottom:"):
-            rule, _, num = text.partition(":")
-            try:
-                k = int(num)
-            except ValueError as exc:
-                raise ValidationError(f"bad rank selector {text!r}") from exc
-            if k < 0:
-                raise ValidationError(f"rank count must be >= 0 in {text!r}")
-            return cls(rule=rule, count=k)
-        if text.startswith("range:"):
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ValidationError(f"bad rank selector {text!r}; use range:A:B")
-            try:
-                a, b = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise ValidationError(f"bad rank selector {text!r}") from exc
-            if a < 0 or a > b:
-                raise ValidationError(f"range needs 0 <= A <= B in {text!r}")
-            return cls(rule="range", lo=a, hi=b)
+        rule, _, counts = text.partition(":")
+        if rule in ("top", "bottom"):
+            return cls(rule=rule, count=_count(counts, "rank", text))
+        if rule == "range":
+            lo, _, hi = counts.partition(":")
+            lo, hi = _count(lo, "rank", text), _count(hi, "rank", text)
+            if lo > hi:
+                raise ValidationError(f"range needs A <= B in {text!r}")
+            return cls(rule="range", lo=lo, hi=hi)
         raise ValidationError(f"bad rank selector {text!r}; use all|top:K|bottom:K|range:A:B")
 
     def resolve(self, thin_rank: int) -> np.ndarray:
@@ -161,21 +149,21 @@ class SurgeryPlan:
     Its `kinds` are checked against the profile by the walk `plan_selection` runs.
     """
 
-    mode: str  # "values" | "vectors"
+    mode: str  # one of MODES
     donor: Checkpoint
     host: Checkpoint
     profile: NamingProfile
     grid: list[tuple[LayerSelector, RankSelector]]
     kinds: tuple[str, ...] = DEFAULT_SURGERY_KINDS
-    align: str = "none"  # "none" | "procrustes" (vectors mode only, experimental)
+    align: str = "none"  # one of ALIGNMENTS; "procrustes" is vectors mode only, experimental
     #: from `plan_selection`: each matrix to edit, with its ranks per grid point
     targets: list[tuple[Target, list[np.ndarray | None]]] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.align not in ("none", "procrustes"):
-            raise ValidationError(f"align must be 'none' or 'procrustes', got {self.align!r}")
+        if self.align not in ALIGNMENTS:
+            raise ValidationError(f"align must be one of {ALIGNMENTS}, got {self.align!r}")
         if self.align == "procrustes" and self.mode != "vectors":
             raise ValidationError("align 'procrustes' needs mode 'vectors'; values mode keeps "
                                   "the host's singular vectors, so there is nothing to align")

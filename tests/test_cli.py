@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, report layouts, determinism, manifests."""
 
+import datetime
 import json
 import os
 import shutil
@@ -122,6 +123,37 @@ def test_bad_selector_exits_2_and_writes_nothing(argv, pair, tmp_path):
     assert files(out) == {}
 
 
+def test_selector_counts_are_ascii_digits(pair, tmp_path, capsys):
+    host, donor = (str(p) for p in pair)
+    restore = ["restore", "--mode", "values", "--host", host, "--donor", donor]
+    out = tmp_path / "out"
+    # Python's int reads every one of these counts as a number
+    for flag, text in [("--ranks", "top:1_6"), ("--ranks", "top:+4"), ("--ranks", "top:\u0664"),
+                       ("--layers", "list:1_0,2"), ("--layers", "first:1_0"),
+                       ("--ranks", "range:0:1_0")]:
+        assert cli.main(restore + [flag, text, "--out", str(out)]) == 2, text
+        assert repr(text) in capsys.readouterr().err
+        assert files(out) == {}
+    sweep = {"ranks": ["top:4", "top:1_6"]}
+    assert run_manifest(tmp_path, restore_manifest(pair, out, mode="values", sweep=sweep)) == 2
+    assert files(out) == {}
+    for layers, ranks, stem in [
+        ("all", " TOP:04", "values__layers-all__ranks-top-4"),
+        ("all", "top: 4", "values__layers-all__ranks-top-4"),
+        ("list:1, 2", "range: 1 :3", "values__layers-list-1-2__ranks-range-1-3"),
+    ]:
+        assert cli.main(restore + ["--layers", layers, "--ranks", ranks, "--out", str(out)]) == 0
+        written = files(out)
+        assert set(written) == {f"{stem}.safetensors", f"{stem}.report.csv", f"{stem}.report.json"}
+        report = json.loads(written[f"{stem}.report.json"])
+        canonical = (report["plan"]["layers"], report["plan"]["ranks"])
+        shutil.rmtree(out)
+        assert cli.main(restore + ["--layers", canonical[0], "--ranks", canonical[1],
+                                   "--out", str(out)]) == 0
+        assert files(out) == written
+        shutil.rmtree(out)
+
+
 @pytest.mark.parametrize("name", ["svd-diff", "angles", "restore-values", "restore-copy",
                                   "penalty"])
 def test_nan_in_checkpoint_exits_3_and_writes_nothing(name, pair, rollouts, tmp_path):
@@ -162,6 +194,35 @@ def test_tensor_whose_size_wraps_int64_exits_2_and_names_it(tmp_path, capsys):
     assert cli.main(["svd-diff", "--a", str(probe), "--b", str(probe), "--out", str(out)]) == 2
     assert repr(name) in capsys.readouterr().err
     assert files(out) == {}
+
+
+@pytest.mark.parametrize("header, named", [
+    ({"__metadata__": {"format": 1}}, "__metadata__"),
+    ({"w": 5}, "malformed header entry for 'w'"),
+    ({"w": {"dtype": "F32", "shape": [1]}}, "malformed header entry for 'w'"),
+    (["w"], "not a JSON object"),
+])
+def test_malformed_header_exits_2_and_writes_nothing(header, named, pair, tmp_path, capsys):
+    blob = json.dumps(header).encode()
+    probe = tmp_path / "probe.safetensors"
+    probe.write_bytes(struct.pack("<Q", len(blob)) + blob)
+    out = tmp_path / "out"
+    assert cli.main(["svd-diff", "--a", str(probe), "--b", str(pair[1]), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert files(out) == {}
+
+
+def test_stamp_writes_generated_at(pair, tmp_path):
+    host, donor = (str(p) for p in pair)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "svd-diff", "a": host, "b": donor,
+                                    "output_dir": str(tmp_path / "run"), "stamp": False}))
+    assert cli.main(["svd-diff", "--a", host, "--b", donor, "--stamp",
+                     "--out", str(tmp_path / "flag")]) == 0
+    assert cli.main(["run", "--manifest", str(manifest), "--stamp"]) == 0
+    for out in ("flag", "run"):
+        stamp = json.loads((tmp_path / out / "summary.json").read_text())["generated_at"]
+        assert datetime.datetime.fromisoformat(stamp).tzinfo is not None
 
 
 def test_zero_matrix_reports_undefined_rel_drift_as_null(pair, rollouts, tmp_path):
@@ -346,6 +407,14 @@ def test_penalty_layout(pair, rollouts, tmp_path):
                            "matrices"}
     assert set(report["inputs"]) == {"ref", "current", "profile", "rank"}
     assert report["matrices"] == 12
+
+
+def test_penalty_rank_0_exits_2_and_writes_nothing(pair, rollouts, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = commands(pair, rollouts)["penalty"][:-1] + ["0", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "rank must be >= 1, got 0" in capsys.readouterr().err
+    assert files(out) == {}
 
 
 def test_adv_stats_layout(rollouts, pair, tmp_path):
@@ -597,6 +666,18 @@ def test_manifest_missing_output_dir_exits_2(pair, tmp_path):
     assert run_manifest(tmp_path, manifest) == 2
 
 
+@pytest.mark.parametrize("extra, named", [
+    ({"mode": "value"}, "mode must be one of ('values', 'vectors'), got 'value'"),
+    ({"mode": "vectors", "align": "Procrustes"},
+     "align must be one of ('none', 'procrustes'), got 'Procrustes'"),
+])
+def test_manifest_mode_or_align_outside_its_words_exits_2(extra, named, pair, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_manifest(tmp_path, restore_manifest(pair, out, **extra)) == 2
+    assert named in capsys.readouterr().err
+    assert files(out) == {}
+
+
 def test_manifest_omitting_optional_keys_gets_flag_defaults(pair, rollouts, tmp_path):
     out = tmp_path / "out"
     host, donor = (str(p) for p in pair)
@@ -722,6 +803,36 @@ def test_invalid_estimator_setting_exits_2_and_writes_nothing(flag, rollouts, tm
     assert not out.exists()
 
 
+def test_thresholds_neither_default_nor_a_file_exits_2(rollouts, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["adv-stats", "--input", str(rollouts), "--out", str(out),
+                     "--thresholds", "strict"]) == 2
+    assert "thresholds must be 'default' or a JSON file, got 'strict'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def trace_row(t, reward=None, value=0.5):
+    """One trace-form rollout row of trace "a"; no reward makes it the terminal-value row."""
+    row = {"trace_id": "a", "t": t, "value": value}
+    return json.dumps(row if reward is None else {**row, "reward": reward})
+
+
+@pytest.mark.parametrize("lines, code, named", [
+    ([trace_row(0, 1.0), trace_row(1, float("nan"))], 3, "non-finite"),
+    (['{"reward": 1.0}'], 2, "needs either 'advantage' or"),
+    (["", "   "], 2, "no records found"),
+    ([trace_row(0, 1.0), trace_row(1), trace_row(2)], 2, "multiple terminal-value rows"),
+    ([trace_row(0), trace_row(1, 1.0)], 2, "terminal-value row must come last"),
+])
+def test_malformed_rollout_log_exits_and_writes_nothing(lines, code, named, tmp_path, capsys):
+    log = tmp_path / "rollouts.jsonl"
+    log.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["adv-stats", "--input", str(log), "--out", str(out)]) == code
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["x", True, None, float("nan"), float("inf"), float("-inf")])
 def test_non_numeric_threshold_exits_2_and_writes_nothing(value, rollouts, tmp_path, capsys):
     thresholds = tmp_path / "thresholds.json"
@@ -758,6 +869,9 @@ Q_TEMPLATE = "model.layers.{layer}.self_attn.q_proj.weight"
     ({"patterns": [{"template": Q_TEMPLATE, "kind": ["q"]}]}, "kind"),
     # a string would be split into one-character globs, one of them "*"
     ({"patterns": [{"template": Q_TEMPLATE, "kind": "q"}], "exclusions": "*.bias"}, "exclusions"),
+    ({"patterns": [{"template": "model.q_proj.weight", "kind": "q"}]}, "exactly one {layer}"),
+    ({"patterns": [{"template": Q_TEMPLATE, "kind": "q"}, {"template": Q_TEMPLATE, "kind": "k"}]},
+     "matches multiple patterns"),
 ])
 def test_malformed_profile_field_exits_2_and_names_it(spec, named, pair, rollouts, tmp_path,
                                                       capsys):
@@ -768,6 +882,17 @@ def test_malformed_profile_field_exits_2_and_names_it(spec, named, pair, rollout
     assert cli.main(argv) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_profile_exclusion_drops_a_matched_tensor(pair, rollouts, tmp_path):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"patterns": [{"template": Q_TEMPLATE, "kind": "q"}],
+                                   "exclusions": ["model.layers.1.*"]}))
+    out = tmp_path / "out"
+    argv = commands(pair, rollouts)["svd-diff"] + ["--profile", str(profile), "--out", str(out)]
+    assert cli.main(argv) == 0
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["0", "q", Q_TEMPLATE.format(layer=0)]]
 
 
 @pytest.mark.parametrize("extra, named", [

@@ -1,5 +1,7 @@
 """Rotation-preservation penalty: value, gradient, invariances."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,11 +104,13 @@ def test_fit_reference_rank_bounds():
         fit_reference(w, rank=4)
 
 
-def test_fit_reference_degenerate_warning():
+def test_fit_reference_flags_a_degenerate_boundary_without_a_warning():
     w = np.diag([2.0, 1.0, 1.0 - 1e-9])
-    with pytest.warns(UserWarning, match="boundary gap"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         ref = fit_reference(w, rank=2)
     assert ref.degenerate
+    assert ref.boundary_gap == pytest.approx(1e-9, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
