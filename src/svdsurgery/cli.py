@@ -17,8 +17,10 @@ the angles and restore reports; on one thread the report bytes do not depend
 on the number of cores or on OPENBLAS_NUM_THREADS. It also saves CPU time:
 the decompositions here run no faster on two threads. The decompositions
 call NumPy's own LAPACKE `dgesdd` directly (see `spectral._lapack_svd`),
-which holds one copy of each factor fewer than `np.linalg.svd`. Where NumPy
-bundles no OpenBLAS with 64-bit integers, they go through `np.linalg.svd`:
+which holds one copy of each factor fewer than `np.linalg.svd`, and
+angles factors each rectangular pair in place with LAPACKE `dgeqrf` (see
+`spectral._householder_r`). Where NumPy bundles no OpenBLAS with 64-bit
+integers, they go through `np.linalg.svd` and `np.linalg.qr(mode="r")`:
 the same report bytes, with a larger peak.
 
 svd-diff, angles, penalty and restore pair their matrices by
@@ -30,10 +32,11 @@ each of the plan's targets. A job returns plain data (detail rows and
 summary values, a penalty row, or restore records with their rounding
 errors), and the command writes its files from the results in that order.
 Each job decides when to load: svd-diff holds a pair's two matrices; the
-others drop each matrix before the next loads. Angles, penalty and restore
-also hand each decoded matrix over to `spectral.svd` as its only reference,
-so it is freed as soon as LAPACK's copy of it is made, one matrix below
-holding it through the decomposition.
+others drop each matrix before the next loads. Penalty and restore also
+hand each decoded matrix over to `spectral.svd` as its only reference, so
+it is freed as soon as LAPACK's copy of it is made, one matrix below
+holding it through the decomposition; angles frees each once it is copied
+into the pair's QR stack.
 
 A manifest is a JSON object naming a `command` (svd-diff, angles, restore,
 adv-stats or penalty) plus that command's parameters:
@@ -44,7 +47,10 @@ adv-stats or penalty) plus that command's parameters:
 - on/off flags (`stamp`, `force_f32`, `emit_plot_data`) take JSON `true`
   or `false`; integer flags (`rank`, `bootstrap`, `seed`, `mode_budget`)
   take a JSON integer, `bins` takes one or "fd", and `gamma` and `lam` take
-  a JSON number, never `true` or `false`; every other flag takes a string;
+  a JSON number, never `true` or `false`; every other flag takes a string.
+  On the command line those integer flags and a numeric `--bins` are read
+  like selector counts (`surgery.parse_count`): ASCII digits only, so
+  `--rank 1_6`, `--seed +7` or `--seed -1` is an error (exit 2);
 - `inputs` is an object holding any of those keys, usually the input
   files; a key at the top level overrides it;
 - `output_dir` is another name for `out`;
@@ -103,6 +109,7 @@ from .surgery import (
     MatrixRecord,
     RankSelector,
     SurgeryPlan,
+    parse_count,
     run_surgery,
 )
 from .tensorstore import load_profile, open_checkpoint, pair_matrices, run_pairs
@@ -503,9 +510,17 @@ def _kinds(value) -> tuple[str, ...]:
     return tuple(k for k in parts if k) or DEFAULT_SURGERY_KINDS
 
 
+def _flag_count(text: str) -> int:
+    """An integer flag's text, read as `parse_count` reads selector counts: ASCII digits only.
+
+    Its ValidationError is not one argparse catches, so `main` exits 2 on it.
+    """
+    return parse_count(text, "bad integer flag")
+
+
 def _bins(text: str):
     """A bin count or "fd", from flag text."""
-    return text if text == "fd" else int(text)
+    return text if text == "fd" else parse_count(text, "bins must be 'fd' or a count")
 
 
 def _integer(value) -> int:
@@ -527,7 +542,7 @@ def _number(value) -> float:
 
 #: manifest converters in place of the argparse `type` that parses flag text
 _MANIFEST_TYPES = {
-    int: _integer,
+    _flag_count: _integer,
     float: _number,
     _bins: lambda value: value if value == "fd" else _integer(value),
 }
@@ -601,9 +616,9 @@ _COMMANDS = {
         ("--input", {"required": True, "help": "JSON-lines rollout log"}),
         _OUT,
         ("--bins", {"default": "fd", "type": _bins}),
-        ("--bootstrap", {"default": 500, "type": int}),
-        ("--seed", {"default": 0, "type": int}),
-        ("--mode-budget", {"default": 1, "type": int}),
+        ("--bootstrap", {"default": 500, "type": _flag_count}),
+        ("--seed", {"default": 0, "type": _flag_count}),
+        ("--mode-budget", {"default": 1, "type": _flag_count}),
         ("--thresholds", {"default": "default", "help": "'default' or a JSON file"}),
         ("--gamma", {"default": 0.99, "type": float}),
         ("--lam", {"default": 0.95, "type": float}),
@@ -612,7 +627,7 @@ _COMMANDS = {
     "penalty": (run_penalty, "rotation-preservation penalty table", [
         ("--ref", {"required": True, "help": "reference checkpoint"}),
         ("--current", {"required": True, "help": "checkpoint to score"}),
-        ("--rank", {"required": True, "type": int}),
+        ("--rank", {"required": True, "type": _flag_count}),
         _KINDS,
         _PROFILE,
         _OUT,
@@ -638,9 +653,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    params = vars(_build_parser().parse_args(argv))
-    runner = params.pop("runner")
     try:
+        params = vars(_build_parser().parse_args(argv))
+        runner = params.pop("runner")
         with one_blas_thread():
             return runner(params)
     except ToolkitError as exc:

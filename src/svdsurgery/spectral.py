@@ -1,5 +1,11 @@
 """SVD with canonical signs, singular-value drift, subspace angles, alignment.
 
+Decompositions run in NumPy's own LAPACK through LAPACKE: `dgesdd` for
+every SVD (`svd`, whose `keep` 0 is the values-only one) and `dgeqrf` for
+the one QR factorization that gives a rectangular pair's angles
+(`matrix_angles`). Where NumPy bundles no OpenBLAS with 64-bit integers,
+`np.linalg.svd` and `np.linalg.qr` run the same routines: the same bytes.
+
 Tolerance constants used across the toolkit live here:
 
 ==============================  =======  ==========================================
@@ -48,7 +54,8 @@ class SvdTriple:
     broken by lowest row index); the matching column of `v` is flipped
     jointly so the reconstruction is unchanged. A triple from `svd(w, keep)`
     holds only the leading `keep` columns of `u` and `v` while `sigma`
-    stays whole; `rank` and `shape` read the same either way.
+    stays whole; `rank` and `shape` read the same either way. With
+    `keep` 0 it holds no columns, and `sigma` is the values-only one.
     """
 
     u: np.ndarray  # (m, r), or (m, k) when truncated
@@ -131,21 +138,33 @@ def one_blas_thread():
         put(before)
 
 
-@functools.cache
-def _gesdd():
-    """NumPy's own LAPACKE `dgesdd` wrapper, with 64-bit integers, or None.
+def _lapacke(routine: str, argtypes: list):
+    """NumPy's own LAPACKE wrapper of `routine`, with 64-bit integers, or None.
 
-    The symbol is `scipy_LAPACKE_dgesdd64_` in NumPy 2.x wheels and
-    `LAPACKE_dgesdd64_` in 1.x wheels. It takes scalars by value, returns
+    The symbol is `scipy_LAPACKE_<routine>64_` in NumPy 2.x wheels and
+    `LAPACKE_<routine>64_` in 1.x wheels. It takes scalars by value, returns
     `info`, and owns the workspace: it queries, allocates and frees it.
     """
-    i64, f64 = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, flags="F")
-    argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, f64, i64, f64, f64, i64, f64, i64]
-    for name in ("scipy_LAPACKE_dgesdd64_", "LAPACKE_dgesdd64_"):
-        fn = _openblas_function(name, i64, argtypes)
+    for name in (f"scipy_LAPACKE_{routine}64_", f"LAPACKE_{routine}64_"):
+        fn = _openblas_function(name, ctypes.c_int64, argtypes)
         if fn is not None:
             return fn
     return None
+
+
+@functools.cache
+def _gesdd():
+    """NumPy's own LAPACKE `dgesdd` wrapper (see `_lapacke`), or None."""
+    i64, f64 = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, flags="F")
+    return _lapacke("dgesdd", [ctypes.c_int, ctypes.c_char, i64, i64, f64, i64, f64, f64, i64,
+                               f64, i64])
+
+
+@functools.cache
+def _geqrf():
+    """NumPy's own LAPACKE `dgeqrf` wrapper (see `_lapacke`), or None."""
+    i64, f64 = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, flags="F")
+    return _lapacke("dgeqrf", [ctypes.c_int, i64, i64, f64, i64, f64])
 
 
 def _lapack_svd(arr: np.ndarray, compute_uv: bool, keep: int | None = None):
@@ -221,6 +240,11 @@ def svd(w: np.ndarray, keep: int | None = None) -> SvdTriple:
     `v` hold only their leading `keep` columns; `sigma` stays whole. A
     `keep` outside [0, min(m, n)] is a ValidationError on either route.
 
+    `keep` 0 is the values-only decomposition (dgesdd without vectors,
+    `np.linalg.svd(w, compute_uv=False)`'s bytes): no vectors are computed,
+    `u` and `v` hold no columns, and `sigma` may differ from the full
+    decomposition's in the last bits.
+
     `w` is never written. A caller that passes `w` as its only reference,
     as in `svd(load())`, hands it over: a call from Python code to a Python
     function moves its argument references into the callee, and `svd`
@@ -231,6 +255,10 @@ def svd(w: np.ndarray, keep: int | None = None) -> SvdTriple:
     """
     held = [ensure_matrix(w)]
     del w
+    if keep == 0:
+        m, n = held[0].shape
+        s = _lapack_svd(held.pop(), compute_uv=False)
+        return SvdTriple(u=np.empty((m, 0)), sigma=s, v=np.empty((n, 0)))
     u, s, vt = _lapack_svd(held.pop(), compute_uv=True, keep=keep)
     v = vt.T
     signs = _canonical_signs(u)
@@ -263,9 +291,9 @@ def boundary_gap(sigma: np.ndarray, ranks: np.ndarray) -> tuple[float | None, bo
 class DeltaSpectrum:
     """Per-rank singular-value differences sigma(B) - sigma(A).
 
-    `sigma_a` and `sigma_b` come from a values-only decomposition (LAPACK
-    gesdd without vectors), so they may differ from `svd(w).sigma` in the
-    last bits.
+    `sigma_a` and `sigma_b` come from the values-only decomposition
+    `svd(w, 0)` (LAPACK gesdd without vectors), so they may differ from
+    `svd(w).sigma` in the last bits.
     """
 
     sigma_a: np.ndarray
@@ -295,15 +323,16 @@ class DeltaSpectrum:
 def delta_sigma(a: np.ndarray, b: np.ndarray) -> DeltaSpectrum:
     """Singular values of same-shape `a` and `b` and their per-rank difference.
 
-    The values come from a values-only decomposition, which skips the
-    singular vectors; they may differ from `svd(w).sigma` in the last bits.
+    The values come from `svd(w, 0)`, the values-only decomposition, which
+    skips the singular vectors; they may differ from `svd(w).sigma` in the
+    last bits. Neither matrix is written.
     """
     a = ensure_matrix(a, "A")
     b = ensure_matrix(b, "B")
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    sa = _lapack_svd(a, compute_uv=False)
-    sb = _lapack_svd(b, compute_uv=False)
+    sa = svd(a, 0).sigma
+    sb = svd(b, 0).sigma
     return DeltaSpectrum(sigma_a=sa, sigma_b=sb, delta=sb - sa)
 
 
@@ -364,14 +393,14 @@ def principal_angles(ua: np.ndarray, ub: np.ndarray, side: str = "left") -> Angl
         raise ValidationError(f"basis shape mismatch: {ua.shape} vs {ub.shape}")
 
     gram = ua.T @ ub
-    cosines = np.abs(np.clip(_lapack_svd(gram, compute_uv=False), -1.0, 1.0))
+    cosines = np.abs(np.clip(svd(gram, 0).sigma, -1.0, 1.0))
     angles = np.arccos(cosines)
 
     small = cosines**2 >= 0.5
     if np.any(small):
         resid = ua @ gram
         np.subtract(ub, resid, out=resid)  # (I - ua ua^T) ub without a second m x k temporary
-        sines = np.clip(_lapack_svd(resid, compute_uv=False), -1.0, 1.0)[::-1]
+        sines = np.clip(svd(resid, 0).sigma, -1.0, 1.0)[::-1]
         angles[small] = np.arcsin(sines[small])
 
     return AngleSpectrum(cosines=cosines, angles_rad=angles, side=side, rank=ua.shape[1])
@@ -381,26 +410,33 @@ def _whole_space(side: str, dim: int) -> AngleSpectrum:
     return AngleSpectrum(cosines=np.ones(dim), angles_rad=np.zeros(dim), side=side, rank=dim)
 
 
-def _partial_basis(
-    load: Callable[[], np.ndarray], what: str, shape: tuple[int, int] | None = None
-) -> tuple[tuple[int, int], np.ndarray | None]:
-    """Load and check one matrix; return its shape and its basis that is not whole-space.
+def _householder_r(stack: np.ndarray) -> np.ndarray:
+    """R of the QR factorization of the Fortran-ordered (rows, cols) `stack`, (k, cols).
 
-    The basis is the left one (`u`) of a tall matrix, the right one (`v`)
-    of a wide matrix, and None for a square matrix, which is not
-    decomposed. The loaded matrix is handed over to `svd` as the only
-    reference, so it is freed before LAPACK's factors are allocated (see
-    `svd`). Nothing else of the matrix or its decomposition outlives the
-    call.
+    k = min(rows, cols). Through NumPy's own LAPACKE `dgeqrf` (`_geqrf`),
+    the stack is factored in place and the result is a view of its leading
+    k rows: R on and above the diagonal, Householder vectors below it.
+    Where `_geqrf` is None, it is `np.linalg.qr(stack, mode="r")`, which
+    factors a copy with the same dgeqrf: the same R, with zeros below the
+    diagonal. A non-zero `info` is raised as NumericalError.
     """
-    held = [ensure_matrix(load(), what)]
-    m, n = held[0].shape
-    if shape is not None and (m, n) != shape:
-        raise ValidationError(f"shape mismatch: {shape} vs {(m, n)}")
-    if m == n:
-        return (m, n), None
-    t = svd(held.pop())
-    return (m, n), (t.u if m > n else t.v)
+    rows, cols = stack.shape
+    k = min(rows, cols)
+    geqrf = _geqrf()
+    if geqrf is None:
+        return np.linalg.qr(stack, mode="r")
+    info = geqrf(102, rows, cols, stack, rows, np.empty(k))  # 102: column-major
+    if info != 0:
+        raise NumericalError(f"QR factorization failed (dgeqrf info={info})")
+    return stack[:k]
+
+
+def _loaded(load: Callable[[], np.ndarray], what: str, shape: tuple[int, int] | None = None):
+    """`load()`, checked by `ensure_matrix` and, if given, against `shape`."""
+    w = ensure_matrix(load(), what)
+    if shape is not None and w.shape != shape:
+        raise ValidationError(f"shape mismatch: {shape} vs {w.shape}")
+    return w
 
 
 def matrix_angles(
@@ -409,25 +445,45 @@ def matrix_angles(
     """Left and right singular-subspace angles between two same-shape (m, n) matrices.
 
     `load_a` and `load_b` take no arguments and return the matrices; they
-    are called one after the other, so only one matrix is held at a time.
-    The thin left basis spans all of R^m when m <= n, and the right basis
-    all of R^n when n <= m; such a side's angles are exactly zero
-    (cosines one), so it is filled in without a decomposition. A square
-    pair is loaded and checked but not decomposed. A rectangular pair is
-    decomposed for the angles of its other side: A first, keeping only
-    that side's basis, then B. Each loaded matrix is handed over to `svd`,
-    so it is freed before its decomposition allocates (see `svd`); for
-    that, a loader should return an array that no one else holds, as
-    `tensorstore.load_matrix` does.
+    are called one after the other. The thin left basis spans all of R^m
+    when m <= n, and the right basis all of R^n when n <= m; such a side's
+    angles are exactly zero (cosines one), so it is filled in without a
+    decomposition. A square pair is loaded and checked but not decomposed.
+
+    A rectangular pair's other side is the angles between the column
+    spaces of A and B, a wide pair's transposed, with rows > cols. Neither
+    matrix is decomposed (Bjorck & Golub 1973): A, then B, is copied into
+    one Fortran-ordered (rows, 2 cols) stack, and each is dropped once it
+    is copied, so at most the stack and one decoded matrix are held. The
+    stack is factored in place, [A B] = Q R (`_householder_r`), and freed
+    once B's coordinates R[:k, cols:] are copied out, k = min(rows, 2 cols).
+    In Q's coordinates A spans the first cols axes, so the angles are
+    `principal_angles` between np.eye(k, cols) and an orthonormal basis of
+    B's coordinates, bases of k rows instead of the rows of an SVD basis.
+    For the frees, a loader should return an array that no one else holds,
+    as `tensorstore.load_matrix` does.
     """
-    shape, basis_a = _partial_basis(load_a, "A")
-    _, basis_b = _partial_basis(load_b, "B", shape)
-    m, n = shape
+    a = _loaded(load_a, "A")
+    m, n = shape = a.shape
     if m == n:
+        del a
+        _loaded(load_b, "B", shape)
         return _whole_space("left", m), _whole_space("right", n)
-    if m < n:
-        return _whole_space("left", m), principal_angles(basis_a, basis_b, side="right")
-    return principal_angles(basis_a, basis_b, side="left"), _whole_space("right", n)
+    tall = m > n
+    rows, cols = max(m, n), min(m, n)
+    stack = np.empty((rows, 2 * cols), order="F")
+    stack[:, :cols] = a if tall else a.T
+    del a
+    b = _loaded(load_b, "B", shape)
+    stack[:, cols:] = b if tall else b.T
+    del b
+    coords = np.triu(_householder_r(stack)[:, cols:], -cols)  # R's entries of B's columns
+    del stack
+    k = coords.shape[0]
+    basis_b = np.linalg.qr(coords)[0]
+    del coords
+    partial = principal_angles(np.eye(k, cols), basis_b, side="left" if tall else "right")
+    return (partial, _whole_space("right", n)) if tall else (_whole_space("left", m), partial)
 
 
 # ---------------------------------------------------------------------------
@@ -440,5 +496,5 @@ def procrustes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = ensure_matrix(b, "B")
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    u, _, vt = _lapack_svd(a.T @ b, compute_uv=True)
-    return u @ vt
+    t = svd(a.T @ b)
+    return t.u @ t.v.T  # the joint sign flips cancel in the product, bit for bit

@@ -47,12 +47,15 @@ ALIGNMENTS = ("none", "procrustes")
 # selection
 
 
-def _count(text: str, axis: str, selector: str) -> int:
-    """A count of a `selector` text: ASCII digits, with outer whitespace allowed."""
+def parse_count(text: str, what: str) -> int:
+    """A count: ASCII digits, with outer whitespace allowed; else a ValidationError led by `what`.
+
+    Python's `int` also reads `_` digit groups, a sign and non-ASCII
+    digits, so `1_6` would be 16; this reads them as errors.
+    """
     text = text.strip()
     if not (text.isascii() and text.isdigit()):
-        raise ValidationError(f"bad {axis} selector {selector!r}: {text!r} is not a count "
-                              "in ASCII digits")
+        raise ValidationError(f"{what}: {text!r} is not a count in ASCII digits")
     return int(text)
 
 
@@ -71,9 +74,9 @@ class LayerSelector:
             return cls(rule="all")
         rule, _, counts = text.partition(":")
         if rule in ("first", "last"):
-            return cls(rule=rule, count=_count(counts, "layer", text))
+            return cls(rule=rule, count=parse_count(counts, f"bad layer selector {text!r}"))
         if rule == "list":
-            indices = {_count(i, "layer", text) for i in counts.split(",")}
+            indices = {parse_count(i, f"bad layer selector {text!r}") for i in counts.split(",")}
             return cls(rule="list", indices=tuple(sorted(indices)))
         raise ValidationError(f"bad layer selector {text!r}; use all|first:K|last:K|list:I,J")
 
@@ -111,10 +114,10 @@ class RankSelector:
             return cls(rule="all")
         rule, _, counts = text.partition(":")
         if rule in ("top", "bottom"):
-            return cls(rule=rule, count=_count(counts, "rank", text))
+            return cls(rule=rule, count=parse_count(counts, f"bad rank selector {text!r}"))
         if rule == "range":
             lo, _, hi = counts.partition(":")
-            lo, hi = _count(lo, "rank", text), _count(hi, "rank", text)
+            lo, hi = (parse_count(c, f"bad rank selector {text!r}") for c in (lo, hi))
             if lo > hi:
                 raise ValidationError(f"range needs A <= B in {text!r}")
             return cls(rule="range", lo=lo, hi=hi)
@@ -305,7 +308,8 @@ def _splice_target(
     point selects ranks of this matrix. The donor goes first, and only what
     the mixing reads of it is kept while the host decomposes: `svd(w, keep)`
     keeps its whole `sigma` and its leading `u` and `v` columns up to the
-    highest rank any grid point selects (none in values mode). Neither
+    highest rank any grid point selects; in values mode, `svd(w, 0)`
+    computes the donor's values only, and no vectors. Neither
     float64 matrix is held across the other's decomposition: the loaders
     decode each again for every grid point's distances. Each matrix is
     handed over to `svd` as the only reference, so it is freed before

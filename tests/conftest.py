@@ -119,12 +119,12 @@ def synth_pair(tmp_path):
 
 
 class HandOverWatch:
-    """Records matrices as they are handed over and checks each dgesdd call against them."""
+    """Records matrices as they are handed over and checks each LAPACK call against them."""
 
-    def __init__(self, gesdd):
+    def __init__(self, routine):
         self.refs: list[weakref.ref] = []
         self.calls = 0
-        self._gesdd = gesdd
+        self._routine = routine
 
     def fresh(self, w: np.ndarray) -> np.ndarray:
         """A copy of `w` that only the caller holds, watched from now on."""
@@ -136,11 +136,11 @@ class HandOverWatch:
         """`load`, with each matrix it returns watched."""
         return lambda *args: self.fresh(load(*args))
 
-    def gesdd(self, *args) -> None:
+    def lapack(self, *args) -> None:
         alive = sum(ref() is not None for ref in self.refs)
-        assert alive == 0, f"{alive} handed-over matrices alive at dgesdd call {self.calls + 1}"
+        assert alive == 0, f"{alive} handed-over matrices alive at LAPACK call {self.calls + 1}"
         self.calls += 1
-        return self._gesdd(*args)
+        return self._routine(*args)
 
 
 @pytest.fixture
@@ -156,7 +156,7 @@ def handover_watch(monkeypatch):
     if real is None:
         pytest.skip("no dgesdd binding here")
     watch = HandOverWatch(real)
-    monkeypatch.setattr(spectral, "_gesdd", lambda: watch.gesdd)
+    monkeypatch.setattr(spectral, "_gesdd", lambda: watch.lapack)
     return watch
 
 

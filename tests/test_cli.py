@@ -154,6 +154,25 @@ def test_selector_counts_are_ascii_digits(pair, tmp_path, capsys):
         shutil.rmtree(out)
 
 
+def test_integer_flags_are_ascii_digits(pair, rollouts, tmp_path, capsys):
+    out = tmp_path / "out"
+    penalty = commands(pair, rollouts)["penalty"][:-1]
+    adv_stats = commands(pair, rollouts)["adv-stats"]
+    # Python's int reads every one of these as a number, and each would run
+    for argv, text in [(penalty + ["1_0"], "1_0"), (penalty + ["٣"], "٣"),
+                       (adv_stats + ["--seed", "+7"], "+7"),
+                       (adv_stats + ["--mode-budget", "٢"], "٢"),
+                       (adv_stats + ["--bins", "2_0"], "2_0"),
+                       (adv_stats + ["--bootstrap", " 1_0 "], "1_0")]:
+        assert cli.main(argv + ["--out", str(out)]) == 2, text
+        assert f"{text!r} is not a count in ASCII digits" in capsys.readouterr().err
+        assert not out.exists()
+    # the same flags in ASCII digits, with outer whitespace, still run
+    assert cli.main(penalty + [" 3 ", "--out", str(out / "penalty")]) == 0
+    assert cli.main(adv_stats + ["--seed", "07", "--bins", "20", "--mode-budget", "1",
+                                 "--out", str(out / "adv-stats")]) == 0
+
+
 @pytest.mark.parametrize("name", ["svd-diff", "angles", "restore-values", "restore-copy",
                                   "penalty"])
 def test_nan_in_checkpoint_exits_3_and_writes_nothing(name, pair, rollouts, tmp_path):
@@ -351,7 +370,7 @@ def test_angles_layout(pair, rollouts, tmp_path):
 
 
 def test_angles_decomposes_only_rectangular_pairs(pair, rollouts, tmp_path, monkeypatch):
-    calls = []  # per matrix_angles call: [shape, svd calls, principal_angles calls]
+    calls = []  # per matrix_angles call: [shape, dgeqrf calls, principal_angles calls]
 
     def counted(name):
         original = getattr(spectral, name)
@@ -360,19 +379,19 @@ def test_angles_decomposes_only_rectangular_pairs(pair, rollouts, tmp_path, monk
             if name == "matrix_angles":
                 calls.append([np.shape(args[0]()), 0, 0])
             else:
-                calls[-1][1 if name == "svd" else 2] += 1
+                calls[-1][1 if name == "_geqrf" else 2] += 1
             return original(*args, **kwargs)
 
         return wrapper
 
-    for name in ("matrix_angles", "svd", "principal_angles"):
+    for name in ("matrix_angles", "_geqrf", "principal_angles"):
         monkeypatch.setattr(spectral, name, counted(name))
     monkeypatch.setattr(cli, "matrix_angles", spectral.matrix_angles)
     assert cli.main(commands(pair, rollouts)["angles"] + ["--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 14
     assert {m == n for (m, n), _, _ in calls} == {True, False}
-    for (m, n), svds, angles in calls:
-        assert (svds, angles) == ((0, 0) if m == n else (2, 1))
+    for (m, n), qrs, angles in calls:
+        assert (qrs, angles) == ((0, 0) if m == n else (1, 1))
 
 
 def test_restore_layout(pair, rollouts, tmp_path):
@@ -620,7 +639,8 @@ def test_manifest_sweep_writes_one_output_per_grid_point(pair, tmp_path):
 
 def test_every_output_is_the_same_bytes_with_the_fallback_svd(pair, rollouts, tmp_path,
                                                               monkeypatch):
-    # `_lapack_svd` promises np.linalg.svd's bytes; every report and checkpoint shows it
+    # `_lapack_svd` promises np.linalg.svd's bytes and `_householder_r` np.linalg.qr's R;
+    # every report and checkpoint shows it
     if spectral._gesdd() is None:
         pytest.skip("no dgesdd binding here")
     out = tmp_path / "out"
@@ -641,6 +661,7 @@ def test_every_output_is_the_same_bytes_with_the_fallback_svd(pair, rollouts, tm
     binding = run_all()
     assert sum(name.endswith(".safetensors") for name in binding) == 6
     monkeypatch.setattr(spectral, "_gesdd", lambda: None)
+    monkeypatch.setattr(spectral, "_geqrf", lambda: None)
     assert run_all() == binding
 
 

@@ -26,7 +26,7 @@ from svdsurgery.spectral import (
 )
 from svdsurgery.tensorstore import load_matrix, open_checkpoint
 
-from conftest import TALL_NAME, reconstruct, spectral_matrix, traced_peak
+from conftest import TALL_NAME, HandOverWatch, reconstruct, spectral_matrix, traced_peak
 
 
 def plane_rotation(m: int, i: int, j: int, theta: float) -> np.ndarray:
@@ -147,6 +147,39 @@ def test_dgesdd_is_bound_wherever_numpy_bundles_an_ilp64_openblas():
     assert spectral._gesdd() is not None, f"no dgesdd found in {bundled}"
 
 
+def test_dgeqrf_is_bound_wherever_dgesdd_is():
+    # LAPACKE_dgeqrf64_ on NumPy 1.x wheels, scipy_LAPACKE_dgeqrf64_ on 2.x
+    assert (spectral._geqrf() is None) == (spectral._gesdd() is None)
+
+
+def _qr_stacks():
+    rng = np.random.default_rng(13)
+    a, b = rng.standard_normal((2, 12, 30))  # a wide pair, stacked as its transposes
+    return {
+        "tall": rng.standard_normal((40, 16)),
+        "rows-under-2n": rng.standard_normal((20, 32)),
+        "transposed-wide": np.hstack([a.T, b.T]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_qr_stacks()))
+def test_householder_r_is_numpy_qr_r_bit_for_bit(name):
+    if spectral._geqrf() is None:
+        pytest.skip("no dgeqrf binding here")
+    stack = _qr_stacks()[name]
+    want = np.linalg.qr(stack, mode="r")
+    got = spectral._householder_r(np.array(stack, order="F"))  # factored in place
+    assert got.shape == want.shape
+    assert np.triu(got).tobytes() == want.tobytes()
+
+
+def test_dgeqrf_failure_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(spectral, "_geqrf", lambda: lambda *args: -4)  # info < 0: bad argument
+    a = np.random.default_rng(3).standard_normal((9, 5))
+    with pytest.raises(NumericalError, match="dgeqrf info=-4"):
+        matrix_angles(lambda: a, lambda: a)
+
+
 @pytest.fixture(params=["binding", "fallback"])
 def lapack_path(request, monkeypatch):
     """Run the test through NumPy's own dgesdd, or with the `np.linalg.svd` fallback forced."""
@@ -175,7 +208,10 @@ def test_lapack_svd_is_numpy_svd_bit_for_bit_in_the_same_layout(name, lapack_pat
 def test_svd_keep_is_the_full_svd_truncated_bit_for_bit(name, lapack_path):
     w = _lapack_inputs()[name]
     full = svd(w)
-    for keep in (0, 1, full.rank // 2, full.rank):
+    values = svd(w, 0)  # the values-only decomposition
+    assert values.sigma.tobytes() == np.linalg.svd(w, compute_uv=False).tobytes()
+    assert values.u.shape == (w.shape[0], 0) and values.v.shape == (w.shape[1], 0)
+    for keep in (1, full.rank // 2, full.rank):
         t = svd(w, keep)
         assert t.sigma.tobytes() == full.sigma.tobytes()
         assert t.u.shape == (w.shape[0], keep) and t.v.shape == (w.shape[1], keep)
@@ -372,7 +408,7 @@ def test_square_pair_angles_are_exact_without_a_decomposition(monkeypatch):
         assert np.array_equal(spec.angles_rad, np.zeros(6))
 
 
-def test_tall_pair_drops_a_before_b_is_decomposed(monkeypatch):
+def test_tall_pair_drops_a_before_b_is_decomposed():
     rng = np.random.default_rng(10)
     a = rng.standard_normal((9, 5))
     b = a + 0.1 * rng.standard_normal((9, 5))
@@ -383,38 +419,40 @@ def test_tall_pair_drops_a_before_b_is_decomposed(monkeypatch):
         decoded.append(weakref.ref(w))
         return w
 
-    a_alive = []  # per svd call: whether A's decoded matrix is still alive
-    original = spectral.svd
+    a_alive = []  # whether A's decoded matrix is still alive when B is loaded
 
-    def watched(w):
+    def load_b():
         a_alive.append(decoded[0]() is not None)
-        return original(w)
+        return b.copy()
 
-    monkeypatch.setattr(spectral, "svd", watched)
-    left, _ = matrix_angles(load_a, lambda: b.copy())
-    assert a_alive == [True, False]
+    left, _ = matrix_angles(load_a, load_b)
+    assert a_alive == [False]
     assert left.max_rad > 1e-3
 
 
 @pytest.mark.parametrize("shape", [(9, 5), (5, 9)])
-def test_matrix_angles_hands_each_matrix_over_to_its_svd(shape, handover_watch):
+def test_matrix_angles_frees_both_matrices_before_the_qr(shape, monkeypatch):
+    real = spectral._geqrf()
+    if real is None:
+        pytest.skip("no dgeqrf binding here")
+    watch = HandOverWatch(real)
+    monkeypatch.setattr(spectral, "_geqrf", lambda: watch.lapack)
     rng = np.random.default_rng(10)
     a = rng.standard_normal(shape)
     b = a + 0.1 * rng.standard_normal(shape)
-    matrix_angles(handover_watch.loader(lambda: a), handover_watch.loader(lambda: b))
-    assert len(handover_watch.refs) == 2
-    # one dgesdd call for A, for B, and for each of principal_angles' two
-    # values-only decompositions
-    assert handover_watch.calls == 4
+    matrix_angles(watch.loader(lambda: a), watch.loader(lambda: b))
+    assert len(watch.refs) == 2
+    assert watch.calls == 1  # one dgeqrf of the stacked pair
 
 
-def test_matrix_angles_peak_is_at_most_5_2_matrices(tall_pair):
-    # with each matrix held through its own decomposition, about 5.7
+def test_matrix_angles_peak_is_at_most_3_7_matrices(tall_pair):
+    # the 2n-column stack and one decoded matrix, about 3.5; with an SVD of
+    # each matrix, about 4.4
     host_path, donor_path, matrix_bytes = tall_pair
     host, donor = open_checkpoint(host_path), open_checkpoint(donor_path)
     peak = traced_peak(lambda: matrix_angles(lambda: load_matrix(host, TALL_NAME),
                                              lambda: load_matrix(donor, TALL_NAME)))
-    assert peak <= 5.2 * matrix_bytes, peak / matrix_bytes
+    assert peak <= 3.7 * matrix_bytes, peak / matrix_bytes
 
 
 def test_pair_of_different_shapes_is_a_validation_error():
@@ -437,9 +475,21 @@ def test_rectangular_pair_decomposes_for_its_partial_side_only(shape):
     assert np.array_equal(full.cosines, np.ones(min(m, n)))
     assert np.array_equal(full.angles_rad, np.zeros(min(m, n)))
     assert (partial.side, partial.rank) == (want.side, want.rank)
-    assert np.array_equal(partial.cosines, want.cosines)
-    assert np.array_equal(partial.angles_rad, want.angles_rad)
+    np.testing.assert_allclose(partial.cosines, want.cosines, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(partial.angles_rad, want.angles_rad, rtol=0, atol=1e-12)
     assert partial.max_rad > 1e-3
+
+
+@pytest.mark.parametrize("shape", [(12, 8), (8, 12)])
+def test_pair_with_fewer_than_2n_rows_shares_2n_minus_m_directions(shape):
+    # two n-dimensional column spaces in R^m, m < 2n, meet in at least 2n - m dimensions
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((2, *shape))
+    left, right = matrix_angles(lambda: a, lambda: b)
+    partial = left if shape[0] > shape[1] else right
+    shared = 2 * min(shape) - max(shape)
+    assert np.all(partial.angles_rad[:shared] <= 1e-15), partial.angles_rad[:shared]
+    assert partial.angles_rad[shared] > 1e-3
 
 
 def test_value_shift_recovered_and_subspaces_fixed():
@@ -608,6 +658,13 @@ def test_procrustes_noisy_residual():
     b = a @ r_true + 1e-9 * rng.standard_normal((12, 5))
     r_hat = procrustes(a, b)
     assert np.linalg.norm(a @ r_hat - b) <= 1e-6
+
+
+def test_procrustes_is_the_product_of_the_unflipped_factors_bit_for_bit():
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((2, 20, 6))
+    u, _, vt = np.linalg.svd(a.T @ b)
+    assert procrustes(a, b).tobytes() == (u @ vt).tobytes()
 
 
 def test_procrustes_shape_mismatch():
