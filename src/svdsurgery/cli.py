@@ -18,10 +18,11 @@ on the number of cores or on OPENBLAS_NUM_THREADS. It also saves CPU time:
 the decompositions here run no faster on two threads. The decompositions
 call NumPy's own LAPACKE `dgesdd` directly (see `spectral._lapack_svd`),
 which holds one copy of each factor fewer than `np.linalg.svd`, and
-angles factors each rectangular pair in place with LAPACKE `dgeqrf` (see
-`spectral._householder_r`). Where NumPy bundles no OpenBLAS with 64-bit
-integers, they go through `np.linalg.svd` and `np.linalg.qr(mode="r")`:
-the same report bytes, with a larger peak.
+angles factors each rectangular pair and then B's block of R in place with
+LAPACKE `dgeqrf` and `dorgqr` (see `spectral._second_block_basis`). Where
+NumPy bundles no OpenBLAS with 64-bit integers, they go through
+`np.linalg.svd` and `np.linalg.qr`: the same report bytes, with a larger
+peak.
 
 svd-diff, angles, penalty and restore pair their matrices by
 `tensorstore.pair_matrices`, which gives each pair in key order with one
@@ -31,12 +32,14 @@ It runs the command's job on each pair in key order: `_drift_parts`,
 each of the plan's targets. A job returns plain data (detail rows and
 summary values, a penalty row, or restore records with their rounding
 errors), and the command writes its files from the results in that order.
-Each job decides when to load: svd-diff holds a pair's two matrices; the
-others drop each matrix before the next loads. Penalty and restore also
-hand each decoded matrix over to `spectral.svd` as its only reference, so
-it is freed as soon as LAPACK's copy of it is made, one matrix below
-holding it through the decomposition; angles frees each once it is copied
-into the pair's QR stack.
+Each job decides when to load, and none holds two decoded matrices at
+once. svd-diff, penalty and restore hand each decoded matrix over to
+`spectral.svd` as its only reference, so it is freed as soon as LAPACK's
+copy of it is made, one matrix below holding it through the
+decomposition, and before the next matrix is decoded. angles decodes A
+and then B straight into their halves of the pair's QR stack
+(`tensorstore.load_matrix(..., out=...)`), the pair's one working buffer,
+so no other float64 copy of either exists.
 
 A manifest is a JSON object naming a `command` (svd-diff, angles, restore,
 adv-stats or penalty) plus that command's parameters:
@@ -50,7 +53,8 @@ adv-stats or penalty) plus that command's parameters:
   a JSON number, never `true` or `false`; every other flag takes a string.
   On the command line those integer flags and a numeric `--bins` are read
   like selector counts (`surgery.parse_count`): ASCII digits only, so
-  `--rank 1_6`, `--seed +7` or `--seed -1` is an error (exit 2);
+  `--rank 1_6`, `--seed +7` or `--seed -1` is an error that names the
+  flag (exit 2);
 - `inputs` is an object holding any of those keys, usually the input
   files; a key at the top level overrides it;
 - `output_dir` is another name for `out`;
@@ -76,6 +80,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import json
 import os
 import shutil
@@ -182,8 +187,9 @@ def _run_compare(params: dict, command: str, stem: str, columns: tuple, job, tot
     """Shared body of svd-diff and angles.
 
     `columns` holds the part, detail and summary column names. The job,
-    run on each matrix pair of the `pair_matrices` walk by `run_pairs`,
-    lists (part, detail rows, summary values), one per detail file: a
+    run by `run_pairs` on each matrix pair of the `pair_matrices` walk and
+    the first checkpoint, whose index gives a pair's shape, lists
+    (part, detail rows, summary values), one per detail file: a
     single empty part for svd-diff, one per side, holding the side, for
     angles. `totals(matrices)` adds report fields.
     """
@@ -195,7 +201,7 @@ def _run_compare(params: dict, command: str, stem: str, columns: tuple, job, tot
     summary_rows = []
     plot_rows = []
     with _staged_out(params["out"]) as stage:
-        for (key, name_a, *_), parts in run_pairs(job, pairs):
+        for (key, name_a, *_), parts in run_pairs(job, pairs, ckpt_a):
             slug = _key_slug(key)
             for part, rows, values in parts:
                 write_csv(stage / ("__".join((stem, slug, *part)) + ".csv"), detail_cols, rows)
@@ -218,18 +224,18 @@ def _run_compare(params: dict, command: str, stem: str, columns: tuple, job, tot
     return 0
 
 
-def _drift_parts(pair) -> list[tuple]:
+def _drift_parts(pair, _ckpt_a) -> list[tuple]:
     *_, load_a, load_b = pair
-    spec = delta_sigma(load_a(), load_b())
+    spec = delta_sigma(load_a, load_b)
     rows = [(i, float(a), float(b), float(delta))
             for i, (a, b, delta) in enumerate(zip(spec.sigma_a, spec.sigma_b, spec.delta))]
     return [((), rows, (spec.delta.shape[0], spec.max_abs, spec.mean, spec.rel_drift))]
 
 
-def _angle_parts(pair) -> list[tuple]:
-    *_, load_a, load_b = pair
+def _angle_parts(pair, ckpt_a) -> list[tuple]:
+    _, name_a, _, load_a, load_b = pair
     parts = []
-    for spec in matrix_angles(load_a, load_b):
+    for spec in matrix_angles(load_a, load_b, ckpt_a.index[name_a].shape):
         rows = [(i, float(cos), float(rad), float(deg)) for i, (cos, rad, deg)
                 in enumerate(zip(spec.cosines, spec.angles_rad, spec.angles_deg))]
         degrees = [np.degrees(x) for x in (spec.min_rad, spec.max_rad, spec.angles_rad.mean())]
@@ -510,17 +516,18 @@ def _kinds(value) -> tuple[str, ...]:
     return tuple(k for k in parts if k) or DEFAULT_SURGERY_KINDS
 
 
-def _flag_count(text: str) -> int:
-    """An integer flag's text, read as `parse_count` reads selector counts: ASCII digits only.
+def _flag_count(text: str, flag: str) -> int:
+    """The text of integer `flag`, read as `parse_count` reads selector counts: ASCII digits only.
 
-    Its ValidationError is not one argparse catches, so `main` exits 2 on it.
+    Its ValidationError names the flag, as argparse names one in its own
+    errors, but is not one argparse catches, so `main` exits 2 on it.
     """
-    return parse_count(text, "bad integer flag")
+    return parse_count(text, f"argument {flag}")
 
 
-def _bins(text: str):
-    """A bin count or "fd", from flag text."""
-    return text if text == "fd" else parse_count(text, "bins must be 'fd' or a count")
+def _bins(text: str, flag: str):
+    """A bin count or "fd", from the text of `flag`, named in its error as `_flag_count` does."""
+    return text if text == "fd" else parse_count(text, f"argument {flag} (a count or 'fd')")
 
 
 def _integer(value) -> int:
@@ -647,6 +654,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (runner, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, spec in flags:
+            if spec.get("type") in (_flag_count, _bins):
+                spec = {**spec, "type": functools.partial(spec["type"], flag=flag)}
             p.add_argument(flag, **spec)
         p.set_defaults(runner=runner)
     return parser

@@ -1,10 +1,11 @@
 """SVD with canonical signs, singular-value drift, subspace angles, alignment.
 
-Decompositions run in NumPy's own LAPACK through LAPACKE: `dgesdd` for
-every SVD (`svd`, whose `keep` 0 is the values-only one) and `dgeqrf` for
-the one QR factorization that gives a rectangular pair's angles
-(`matrix_angles`). Where NumPy bundles no OpenBLAS with 64-bit integers,
-`np.linalg.svd` and `np.linalg.qr` run the same routines: the same bytes.
+Decompositions run in NumPy's own LAPACK through LAPACKE, three bindings:
+`dgesdd` for every SVD (`svd`, whose `keep` 0 is the values-only one), and
+`dgeqrf` and `dorgqr` for the QR factorizations that give a rectangular
+pair's angles in place (`matrix_angles`). Where NumPy bundles no OpenBLAS
+with 64-bit integers, `np.linalg.svd` and `np.linalg.qr` run the same
+routines: the same bytes.
 
 Tolerance constants used across the toolkit live here:
 
@@ -167,6 +168,13 @@ def _geqrf():
     return _lapacke("dgeqrf", [ctypes.c_int, i64, i64, f64, i64, f64])
 
 
+@functools.cache
+def _orgqr():
+    """NumPy's own LAPACKE `dorgqr` wrapper (see `_lapacke`), or None."""
+    i64, f64 = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, flags="F")
+    return _lapacke("dorgqr", [ctypes.c_int, i64, i64, i64, f64, i64, f64])
+
+
 def _lapack_svd(arr: np.ndarray, compute_uv: bool, keep: int | None = None):
     """`np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)` of a checked matrix.
 
@@ -320,20 +328,26 @@ class DeltaSpectrum:
         return self.max_abs / top
 
 
-def delta_sigma(a: np.ndarray, b: np.ndarray) -> DeltaSpectrum:
-    """Singular values of same-shape `a` and `b` and their per-rank difference.
+def delta_sigma(
+    load_a: Callable[[], np.ndarray], load_b: Callable[[], np.ndarray]
+) -> DeltaSpectrum:
+    """Singular values of two same-shape matrices A and B and their per-rank difference.
 
-    The values come from `svd(w, 0)`, the values-only decomposition, which
-    skips the singular vectors; they may differ from `svd(w).sigma` in the
-    last bits. Neither matrix is written.
+    `load_a` and `load_b` take no arguments and return the matrices. Each
+    is called only once the other's decomposition is done, and its matrix
+    is handed over to `svd(w, 0)` as the only reference, so it is freed
+    before LAPACK runs and A is gone before B is decoded. For that, a
+    loader should return an array that no one else holds, as
+    `tensorstore.load_matrix` does; a held matrix is never written.
+
+    `svd(w, 0)` is the values-only decomposition, which skips the singular
+    vectors; its values may differ from `svd(w).sigma` in the last bits.
     """
-    a = ensure_matrix(a, "A")
-    b = ensure_matrix(b, "B")
-    if a.shape != b.shape:
-        raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    sa = svd(a, 0).sigma
-    sb = svd(b, 0).sigma
-    return DeltaSpectrum(sigma_a=sa, sigma_b=sb, delta=sb - sa)
+    ta = svd(load_a(), 0)
+    tb = svd(load_b(), 0)
+    if ta.shape != tb.shape:
+        raise ValidationError(f"shape mismatch: {ta.shape} vs {tb.shape}")
+    return DeltaSpectrum(sigma_a=ta.sigma, sigma_b=tb.sigma, delta=tb.sigma - ta.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +386,8 @@ class AngleSpectrum:
 def _check_orthonormal(q: np.ndarray, what: str) -> np.ndarray:
     q = ensure_matrix(q, what)
     gram = q.T @ q
-    err = np.linalg.norm(gram - np.eye(q.shape[1]))
+    gram.flat[:: q.shape[1] + 1] -= 1.0  # Q^T Q - I in place
+    err = np.linalg.norm(gram)
     if err > ORTHONORMALITY_INPUT_TOL:
         raise ValidationError(
             f"{what} columns are not orthonormal (||Q^T Q - I||_F = {err:.3e})"
@@ -380,30 +395,47 @@ def _check_orthonormal(q: np.ndarray, what: str) -> np.ndarray:
     return q
 
 
-def principal_angles(ua: np.ndarray, ub: np.ndarray, side: str = "left") -> AngleSpectrum:
+def principal_angles(ua: np.ndarray | int, ub: np.ndarray, side: str = "left") -> AngleSpectrum:
     """Canonical angles from the SVD of the cross-Gram ua^T ub.
 
     Cosines are clamped to [-1, 1] and folded to [0, 1] before arccos.
     Angles with cosine^2 >= 1/2 are recomputed as arcsin of the singular
     values of (I - ua ua^T) ub, paired in ascending order.
-    """
-    ua = _check_orthonormal(ua, "first basis")
-    ub = _check_orthonormal(ub, "second basis")
-    if ua.shape != ub.shape:
-        raise ValidationError(f"basis shape mismatch: {ua.shape} vs {ub.shape}")
 
-    gram = ua.T @ ub
+    An int `ua`, n, stands for the first n coordinate axes, np.eye(k, n)
+    for a (k, n) `ub`, which is not built: the cross-Gram is then ub[:n],
+    and (I - ua ua^T) ub is ub with those rows zeroed, so the cosines are
+    the singular values of ub[:n] and the sines those of ub[n:], padded
+    with zeros to n. The axes need no orthonormality check.
+    """
+    axes = isinstance(ua, int)
+    if not axes:
+        ua = _check_orthonormal(ua, "first basis")
+    ub = _check_orthonormal(ub, "second basis")
+    shape_a = (ub.shape[0], ua) if axes else ua.shape
+    if shape_a != ub.shape:
+        raise ValidationError(f"basis shape mismatch: {shape_a} vs {ub.shape}")
+    n = shape_a[1]
+
+    gram = ub[:n] if axes else ua.T @ ub
     cosines = np.abs(np.clip(svd(gram, 0).sigma, -1.0, 1.0))
     angles = np.arccos(cosines)
 
     small = cosines**2 >= 0.5
     if np.any(small):
-        resid = ua @ gram
-        np.subtract(ub, resid, out=resid)  # (I - ua ua^T) ub without a second m x k temporary
-        sines = np.clip(svd(resid, 0).sigma, -1.0, 1.0)[::-1]
+        if axes:
+            resid_sigma = np.zeros(n)
+            if ub.shape[0] > n:
+                tail = svd(ub[n:], 0).sigma
+                resid_sigma[: tail.shape[0]] = tail
+        else:
+            resid = ua @ gram
+            np.subtract(ub, resid, out=resid)  # (I - ua ua^T) ub without a second m x k temporary
+            resid_sigma = svd(resid, 0).sigma
+        sines = np.clip(resid_sigma, -1.0, 1.0)[::-1]
         angles[small] = np.arcsin(sines[small])
 
-    return AngleSpectrum(cosines=cosines, angles_rad=angles, side=side, rank=ua.shape[1])
+    return AngleSpectrum(cosines=cosines, angles_rad=angles, side=side, rank=n)
 
 
 def _whole_space(side: str, dim: int) -> AngleSpectrum:
@@ -431,58 +463,79 @@ def _householder_r(stack: np.ndarray) -> np.ndarray:
     return stack[:k]
 
 
-def _loaded(load: Callable[[], np.ndarray], what: str, shape: tuple[int, int] | None = None):
-    """`load()`, checked by `ensure_matrix` and, if given, against `shape`."""
-    w = ensure_matrix(load(), what)
-    if shape is not None and w.shape != shape:
-        raise ValidationError(f"shape mismatch: {shape} vs {w.shape}")
-    return w
+def _second_block_basis(stack: np.ndarray, cols: int) -> np.ndarray:
+    """An orthonormal basis, (k, cols), of the last `cols` columns of R, where `stack` = Q R.
+
+    `stack` is Fortran-ordered, (rows, 2 cols), and k = min(rows, 2 cols).
+    Through NumPy's own LAPACKE `dgeqrf` and `dorgqr` (`_geqrf`, `_orgqr`),
+    everything happens in `stack`: it is factored (`_householder_r`), the
+    Householder vectors below R's last `cols` columns are zeroed, and those
+    k x cols columns, read with leading dimension rows, are factored again
+    and overwritten by the Q of that factorization, which is returned as a
+    view of `stack`. Where either binding is None, R's columns are copied
+    out and `np.linalg.qr` runs the same `dgeqrf` and `dorgqr` on the copy:
+    the same bytes. A non-zero `info` is raised as NumericalError.
+    """
+    rows = stack.shape[0]
+    r = _householder_r(stack)
+    k = r.shape[0]
+    geqrf, orgqr = _geqrf(), _orgqr()
+    if geqrf is None or orgqr is None:
+        return np.linalg.qr(np.triu(r[:, cols:], -cols))[0]
+    block = stack[:, cols:]  # Fortran-ordered, so LAPACK can take it with leading dimension rows
+    for j in range(cols):  # column j of R's block ends at row cols + j
+        block[cols + j + 1 : k, j] = 0.0
+    tau = np.empty(cols)
+    info = geqrf(102, k, cols, block, rows, tau)
+    if info != 0:
+        raise NumericalError(f"QR factorization failed (dgeqrf info={info})")
+    info = orgqr(102, k, cols, cols, block, rows, tau)
+    if info != 0:
+        raise NumericalError(f"forming Q failed (dorgqr info={info})")
+    return block[:k]
 
 
 def matrix_angles(
-    load_a: Callable[[], np.ndarray], load_b: Callable[[], np.ndarray]
+    load_a: Callable[..., np.ndarray], load_b: Callable[..., np.ndarray], shape: tuple[int, int]
 ) -> tuple[AngleSpectrum, AngleSpectrum]:
-    """Left and right singular-subspace angles between two same-shape (m, n) matrices.
+    """Left and right singular-subspace angles between two matrices A and B of `shape`, (m, n).
 
-    `load_a` and `load_b` take no arguments and return the matrices; they
-    are called one after the other. The thin left basis spans all of R^m
-    when m <= n, and the right basis all of R^n when n <= m; such a side's
-    angles are exactly zero (cosines one), so it is filled in without a
-    decomposition. A square pair is loaded and checked but not decomposed.
+    `load_a(out=...)` and `load_b(out=...)` decode their matrix into `out`,
+    a float64 array or view of `shape`, and check it, as
+    `tensorstore.load_matrix(ckpt, name, out=...)` does; they are called one
+    after the other. The thin left basis spans all of R^m when m <= n, and
+    the right basis all of R^n when n <= m; such a side's angles are
+    exactly zero (cosines one), so it is filled in without a decomposition.
+    A square pair is decoded into one buffer, A and then B, and checked but
+    not decomposed.
 
     A rectangular pair's other side is the angles between the column
     spaces of A and B, a wide pair's transposed, with rows > cols. Neither
-    matrix is decomposed (Bjorck & Golub 1973): A, then B, is copied into
-    one Fortran-ordered (rows, 2 cols) stack, and each is dropped once it
-    is copied, so at most the stack and one decoded matrix are held. The
-    stack is factored in place, [A B] = Q R (`_householder_r`), and freed
-    once B's coordinates R[:k, cols:] are copied out, k = min(rows, 2 cols).
-    In Q's coordinates A spans the first cols axes, so the angles are
-    `principal_angles` between np.eye(k, cols) and an orthonormal basis of
-    B's coordinates, bases of k rows instead of the rows of an SVD basis.
-    For the frees, a loader should return an array that no one else holds,
-    as `tensorstore.load_matrix` does.
+    matrix is decomposed (Bjorck & Golub 1973), and the pair holds one
+    working buffer: A, then B, is decoded straight into its half of one
+    Fortran-ordered (rows, 2 cols) stack, a wide one as the transpose of
+    its half. The stack is factored in place, [A B] = Q R, and an
+    orthonormal basis Q_B of B's coordinates R[:k, cols:], k = min(rows,
+    2 cols), is formed in place too (`_second_block_basis`). In Q's
+    coordinates A spans the first cols axes, so the angles are
+    `principal_angles(cols, Q_B)`: the cosines are the singular values of
+    Q_B's first cols rows and the sines those of the rest.
     """
-    a = _loaded(load_a, "A")
-    m, n = shape = a.shape
+    m, n = shape
+    if m == 0 or n == 0:
+        raise ValidationError(f"matrices must be non-empty, got shape {shape}")
     if m == n:
-        del a
-        _loaded(load_b, "B", shape)
+        buffer = np.empty(shape)
+        load_a(out=buffer)
+        load_b(out=buffer)
         return _whole_space("left", m), _whole_space("right", n)
     tall = m > n
     rows, cols = max(m, n), min(m, n)
     stack = np.empty((rows, 2 * cols), order="F")
-    stack[:, :cols] = a if tall else a.T
-    del a
-    b = _loaded(load_b, "B", shape)
-    stack[:, cols:] = b if tall else b.T
-    del b
-    coords = np.triu(_householder_r(stack)[:, cols:], -cols)  # R's entries of B's columns
-    del stack
-    k = coords.shape[0]
-    basis_b = np.linalg.qr(coords)[0]
-    del coords
-    partial = principal_angles(np.eye(k, cols), basis_b, side="left" if tall else "right")
+    for load, half in ((load_a, stack[:, :cols]), (load_b, stack[:, cols:])):
+        load(out=half if tall else half.T)
+    partial = principal_angles(cols, _second_block_basis(stack, cols),
+                               side="left" if tall else "right")
     return (partial, _whole_space("right", n)) if tall else (_whole_space("left", m), partial)
 
 

@@ -60,14 +60,22 @@ def _f32_to_bf16_bits(values: np.ndarray) -> np.ndarray:
     return ((u + bias) >> np.uint32(16)).astype(np.uint16)
 
 
-def decode_values(raw: bytes, dtype: str) -> np.ndarray:
-    """Decode a little-endian payload of `dtype` into a float64 vector."""
+def decode_values(raw: bytes, dtype: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Decode a little-endian payload of `dtype` into a new float64 vector, or into `out`.
+
+    `out` is a float64 array or view with one entry per stored value; it is
+    filled in row-major order and returned.
+    """
     if dtype == "BF16":
-        bits = np.frombuffer(raw, dtype="<u2")
-        return _bf16_bits_to_f32(bits).astype(np.float64)
-    if dtype not in _NUMPY_DTYPES:
+        values = _bf16_bits_to_f32(np.frombuffer(raw, dtype="<u2"))
+    elif dtype in _NUMPY_DTYPES:
+        values = np.frombuffer(raw, dtype=_NUMPY_DTYPES[dtype])
+    else:
         raise ValidationError(f"unsupported dtype {dtype!r}")
-    return np.frombuffer(raw, dtype=_NUMPY_DTYPES[dtype]).astype(np.float64)
+    if out is None:
+        return values.astype(np.float64)
+    out[...] = values.reshape(out.shape)
+    return out
 
 
 def encode_values(values: np.ndarray, dtype: str) -> bytes:
@@ -204,8 +212,14 @@ def load_raw(ckpt: Checkpoint, name: str) -> bytes:
         return fh.read(end - start)
 
 
-def load_matrix(ckpt: Checkpoint, name: str) -> np.ndarray:
-    """Load a 2-D tensor, up-cast to float64, row-major order preserved."""
+def load_matrix(ckpt: Checkpoint, name: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Load a 2-D tensor, up-cast to float64, row-major order preserved.
+
+    The matrix is a new array or, with `out` (a float64 array or view of the
+    tensor's shape, in any memory order), a view of `out`, decoded straight
+    into it: no other float64 copy is made. Either way its values are
+    checked to be finite where they were decoded.
+    """
     if name not in ckpt.index:
         raise ValidationError(f"unknown tensor {name!r} in {ckpt.path}")
     info = ckpt.index[name]
@@ -213,7 +227,10 @@ def load_matrix(ckpt: Checkpoint, name: str) -> np.ndarray:
         raise ValidationError(
             f"tensor {name!r} has shape {info.shape}; only 2-D tensors load as matrices"
         )
-    values = decode_values(load_raw(ckpt, name), info.dtype).reshape(info.shape)
+    if out is not None and out.shape != info.shape:
+        raise ValidationError(f"shape mismatch: tensor {name!r} is {info.shape}, "
+                              f"its destination {out.shape}")
+    values = decode_values(load_raw(ckpt, name), info.dtype, out).reshape(info.shape)
     if not np.all(np.isfinite(values)):
         raise NumericalError(f"tensor {name!r} contains non-finite values after decode")
     return values

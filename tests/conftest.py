@@ -64,6 +64,36 @@ def spectral_matrix(rng: np.random.Generator, m: int, n: int, sigmas) -> np.ndar
     return (q1[:, :r] * sigmas) @ q2[:, :r].T
 
 
+def loader(w: np.ndarray):
+    """A loader of the in-memory matrix `w`, as `tensorstore.load_matrix` is of a stored one.
+
+    Called with no argument it returns a fresh float64 copy of `w`; with
+    `out`, it writes `w` into `out` and returns it.
+    """
+
+    def load(out=None):
+        if out is None:
+            return np.array(w, dtype=np.float64)
+        out[...] = w
+        return out
+
+    return load
+
+
+def angles_of(a: np.ndarray, b: np.ndarray):
+    """`spectral.matrix_angles` of two in-memory matrices of the same shape."""
+    from svdsurgery.spectral import matrix_angles
+
+    return matrix_angles(loader(a), loader(b), np.shape(a))
+
+
+def drift_of(a: np.ndarray, b: np.ndarray):
+    """`spectral.delta_sigma` of two in-memory matrices."""
+    from svdsurgery.spectral import delta_sigma
+
+    return delta_sigma(loader(a), loader(b))
+
+
 def reconstruct(t, keep=None) -> np.ndarray:
     """Sum of sigma_i * u_i v_i^T of an SvdTriple over the rank indices `keep` (all by default)."""
     idx = np.arange(t.rank) if keep is None else np.asarray(keep, dtype=np.int64)

@@ -173,6 +173,21 @@ def test_integer_flags_are_ascii_digits(pair, rollouts, tmp_path, capsys):
                                  "--out", str(out / "adv-stats")]) == 0
 
 
+def test_integer_flag_error_names_the_flag(pair, rollouts, tmp_path, capsys):
+    out = tmp_path / "out"
+    penalty = commands(pair, rollouts)["penalty"][:-2]
+    adv_stats = commands(pair, rollouts)["adv-stats"]
+    for argv, want in [
+        (penalty + ["--rank", "1_6"], "argument --rank: '1_6' is not a count in ASCII digits"),
+        (adv_stats + ["--seed", "+7"], "argument --seed: '+7' is not a count in ASCII digits"),
+        (adv_stats + ["--bins", "2_0"],
+         "argument --bins (a count or 'fd'): '2_0' is not a count in ASCII digits"),
+    ]:
+        assert cli.main(argv + ["--out", str(out)]) == 2, want
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["svd-diff", "angles", "restore-values", "restore-copy",
                                   "penalty"])
 def test_nan_in_checkpoint_exits_3_and_writes_nothing(name, pair, rollouts, tmp_path):
@@ -370,28 +385,32 @@ def test_angles_layout(pair, rollouts, tmp_path):
 
 
 def test_angles_decomposes_only_rectangular_pairs(pair, rollouts, tmp_path, monkeypatch):
-    calls = []  # per matrix_angles call: [shape, dgeqrf calls, principal_angles calls]
+    if spectral._geqrf() is None or spectral._orgqr() is None:
+        pytest.skip("no dgeqrf or dorgqr binding here")
+    calls = []  # per matrix_angles call: [shape, dgeqrf, dorgqr and principal_angles calls]
 
-    def counted(name):
-        original = getattr(spectral, name)
-
+    def counted(function, slot):
         def wrapper(*args, **kwargs):
-            if name == "matrix_angles":
-                calls.append([np.shape(args[0]()), 0, 0])
-            else:
-                calls[-1][1 if name == "_geqrf" else 2] += 1
-            return original(*args, **kwargs)
+            calls[-1][slot] += 1
+            return function(*args, **kwargs)
 
         return wrapper
 
-    for name in ("matrix_angles", "_geqrf", "principal_angles"):
-        monkeypatch.setattr(spectral, name, counted(name))
-    monkeypatch.setattr(cli, "matrix_angles", spectral.matrix_angles)
+    def matrix_angles(*args):
+        calls.append([args[2], 0, 0, 0])
+        return spectral.matrix_angles(*args)
+
+    for name, slot in (("_geqrf", 1), ("_orgqr", 2)):
+        binding = counted(getattr(spectral, name)(), slot)
+        monkeypatch.setattr(spectral, name, lambda binding=binding: binding)
+    monkeypatch.setattr(spectral, "principal_angles", counted(spectral.principal_angles, 3))
+    monkeypatch.setattr(cli, "matrix_angles", matrix_angles)
     assert cli.main(commands(pair, rollouts)["angles"] + ["--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 14
-    assert {m == n for (m, n), _, _ in calls} == {True, False}
-    for (m, n), qrs, angles in calls:
-        assert (qrs, angles) == ((0, 0) if m == n else (1, 1))
+    assert {m == n for (m, n), *_ in calls} == {True, False}
+    for (m, n), *counts in calls:
+        # a rectangular pair: dgeqrf of the stack and of B's block, then dorgqr for Q_B
+        assert counts == ([0, 0, 0] if m == n else [2, 1, 1])
 
 
 def test_restore_layout(pair, rollouts, tmp_path):
@@ -528,9 +547,9 @@ def record_loads(monkeypatch) -> list[tuple]:
     loads, returned = [], []
     original = tensorstore.load_matrix
 
-    def recorded(ckpt, name):
+    def recorded(ckpt, name, out=None):
         loads.append((ckpt.path.name, name, bool(returned) and returned[-1]() is not None))
-        w = original(ckpt, name)
+        w = original(ckpt, name, out)
         returned.append(weakref.ref(w))
         return w
 
@@ -662,6 +681,7 @@ def test_every_output_is_the_same_bytes_with_the_fallback_svd(pair, rollouts, tm
     assert sum(name.endswith(".safetensors") for name in binding) == 6
     monkeypatch.setattr(spectral, "_gesdd", lambda: None)
     monkeypatch.setattr(spectral, "_geqrf", lambda: None)
+    monkeypatch.setattr(spectral, "_orgqr", lambda: None)
     assert run_all() == binding
 
 

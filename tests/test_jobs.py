@@ -49,8 +49,8 @@ def wide_pair(synth_pair):
 
 @pytest.mark.parametrize("job", [cli._drift_parts, cli._angle_parts])
 def test_compare_jobs_give_the_same_parts_in_a_spawned_process(job, wide_pair, spawned):
-    _, pair = wide_pair
-    here, there = here_and_there(spawned, job, pair)
+    a, pair = wide_pair
+    here, there = here_and_there(spawned, job, pair, a)
     assert here == there
     assert len(here[-1][1]) == 8  # detail rows of the last part
 

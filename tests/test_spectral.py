@@ -1,5 +1,6 @@
 """SVD canonicalization, drift, principal angles, Procrustes."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from svdsurgery.spectral import (
 )
 from svdsurgery.tensorstore import load_matrix, open_checkpoint
 
-from conftest import TALL_NAME, HandOverWatch, reconstruct, spectral_matrix, traced_peak
+from conftest import TALL_NAME, angles_of, drift_of, reconstruct, spectral_matrix, traced_peak
 
 
 def plane_rotation(m: int, i: int, j: int, theta: float) -> np.ndarray:
@@ -152,6 +153,11 @@ def test_dgeqrf_is_bound_wherever_dgesdd_is():
     assert (spectral._geqrf() is None) == (spectral._gesdd() is None)
 
 
+def test_dorgqr_is_bound_wherever_dgesdd_is():
+    # LAPACKE_dorgqr64_ on NumPy 1.x wheels, scipy_LAPACKE_dorgqr64_ on 2.x
+    assert (spectral._orgqr() is None) == (spectral._gesdd() is None)
+
+
 def _qr_stacks():
     rng = np.random.default_rng(13)
     a, b = rng.standard_normal((2, 12, 30))  # a wide pair, stacked as its transposes
@@ -177,7 +183,16 @@ def test_dgeqrf_failure_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(spectral, "_geqrf", lambda: lambda *args: -4)  # info < 0: bad argument
     a = np.random.default_rng(3).standard_normal((9, 5))
     with pytest.raises(NumericalError, match="dgeqrf info=-4"):
-        matrix_angles(lambda: a, lambda: a)
+        angles_of(a, a)
+
+
+def test_dorgqr_failure_is_a_numerical_error(monkeypatch):
+    if spectral._geqrf() is None:
+        pytest.skip("no dgeqrf binding here")
+    monkeypatch.setattr(spectral, "_orgqr", lambda: lambda *args: -5)  # info < 0: bad argument
+    a = np.random.default_rng(3).standard_normal((9, 5))
+    with pytest.raises(NumericalError, match="dorgqr info=-5"):
+        angles_of(a, a)
 
 
 @pytest.fixture(params=["binding", "fallback"])
@@ -334,7 +349,7 @@ def test_svd_leaves_a_held_matrix_alive_and_unchanged(lapack_path):
 def test_delta_sigma_identical():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((6, 4))
-    spec = delta_sigma(a, a)
+    spec = drift_of(a, a)
     np.testing.assert_array_equal(spec.delta, np.zeros(4))
     assert spec.max_abs == 0.0
 
@@ -342,20 +357,20 @@ def test_delta_sigma_identical():
 def test_delta_sigma_scaling():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((6, 4))
-    spec = delta_sigma(a, 2.0 * a)
+    spec = drift_of(a, 2.0 * a)
     np.testing.assert_allclose(spec.delta, spec.sigma_a, rtol=1e-12)
 
 
 def test_delta_sigma_shape_mismatch():
     with pytest.raises(ValidationError, match="shape"):
-        delta_sigma(np.zeros((2, 3)), np.zeros((3, 2)))
+        drift_of(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("shape", [(1376, 512), (512, 512), (128, 512)])
 def test_delta_sigma_uses_the_values_only_decomposition(shape):
     rng = np.random.default_rng(7)
     a, b = rng.standard_normal(shape), rng.standard_normal(shape)
-    spec = delta_sigma(a, b)
+    spec = drift_of(a, b)
     np.testing.assert_array_equal(spec.sigma_a, np.linalg.svd(a, compute_uv=False))
     np.testing.assert_array_equal(spec.sigma_b, np.linalg.svd(b, compute_uv=False))
     full = svd(a).sigma
@@ -364,9 +379,9 @@ def test_delta_sigma_uses_the_values_only_decomposition(shape):
 
 def test_rel_drift_is_undefined_only_when_a_alone_is_zero():
     zero, b = np.zeros((4, 3)), np.arange(12.0).reshape(4, 3)
-    assert delta_sigma(zero, b).rel_drift is None
-    assert delta_sigma(zero, zero).rel_drift == 0.0
-    assert delta_sigma(b, zero).rel_drift == 1.0
+    assert drift_of(zero, b).rel_drift is None
+    assert drift_of(zero, zero).rel_drift == 0.0
+    assert drift_of(b, zero).rel_drift == 1.0
 
 
 def test_svd_non_convergence_is_a_numerical_error(monkeypatch):
@@ -375,8 +390,8 @@ def test_svd_non_convergence_is_a_numerical_error(monkeypatch):
 
     monkeypatch.setattr(spectral, "_gesdd", lambda: not_converging)
     w, tall = np.eye(3), np.eye(3, 2)  # a square pair's angles need no decomposition
-    for call in (lambda: svd(w), lambda: delta_sigma(w, w),
-                 lambda: matrix_angles(lambda: tall, lambda: tall),
+    for call in (lambda: svd(w), lambda: drift_of(w, w),
+                 lambda: angles_of(tall, tall),
                  lambda: principal_angles(w, w), lambda: procrustes(w, w)):
         with pytest.raises(NumericalError, match="did not converge"):
             call()
@@ -401,7 +416,7 @@ def test_square_pair_angles_are_exact_without_a_decomposition(monkeypatch):
     a, b = rng.standard_normal((2, 6, 6))
     monkeypatch.setattr(spectral, "_gesdd", lambda: not_called)
     monkeypatch.setattr(np.linalg, "svd", not_called)
-    left, right = matrix_angles(lambda: a, lambda: b)
+    left, right = angles_of(a, b)
     for spec, side in ((left, "left"), (right, "right")):
         assert (spec.side, spec.rank) == (side, 6)
         assert np.array_equal(spec.cosines, np.ones(6))
@@ -409,63 +424,107 @@ def test_square_pair_angles_are_exact_without_a_decomposition(monkeypatch):
 
 
 def test_tall_pair_drops_a_before_b_is_decomposed():
+    # A is decoded straight into its half of the QR stack, before B is loaded
+    # into the other half, so no separate copy of A is alive while B loads
     rng = np.random.default_rng(10)
     a = rng.standard_normal((9, 5))
     b = a + 0.1 * rng.standard_normal((9, 5))
-    decoded = []
+    outs = []
 
-    def load_a():
-        w = a.copy()  # a fresh matrix that only matrix_angles holds, as load_matrix returns
-        decoded.append(weakref.ref(w))
-        return w
+    def load_a(out):
+        outs.append(out)
+        out[...] = a
 
-    a_alive = []  # whether A's decoded matrix is still alive when B is loaded
+    def load_b(out):
+        assert len(outs) == 1 and np.array_equal(outs[0], a)  # A is already in place
+        outs.append(out)
+        out[...] = b
 
-    def load_b():
-        a_alive.append(decoded[0]() is not None)
-        return b.copy()
-
-    left, _ = matrix_angles(load_a, load_b)
-    assert a_alive == [False]
+    left, _ = matrix_angles(load_a, load_b, a.shape)
+    assert len(outs) == 2
     assert left.max_rad > 1e-3
 
 
 @pytest.mark.parametrize("shape", [(9, 5), (5, 9)])
-def test_matrix_angles_frees_both_matrices_before_the_qr(shape, monkeypatch):
-    real = spectral._geqrf()
-    if real is None:
-        pytest.skip("no dgeqrf binding here")
-    watch = HandOverWatch(real)
-    monkeypatch.setattr(spectral, "_geqrf", lambda: watch.lapack)
+def test_matrix_angles_decodes_both_matrices_into_its_qr_stack(shape, monkeypatch):
+    # the loaders write into the two halves of the one buffer that dgeqrf
+    # factors, and Q_B is formed in that buffer too: no decoded matrix exists
+    if spectral._geqrf() is None or spectral._orgqr() is None:
+        pytest.skip("no dgeqrf or dorgqr binding here")
+    outs, lapack = [], []
+
+    def watched(name):
+        routine = getattr(spectral, name)()
+
+        def call(*args):
+            lapack.append((name, args[4] if name == "_orgqr" else args[3]))
+            return routine(*args)
+
+        return lambda: call
+
+    for name in ("_geqrf", "_orgqr"):
+        monkeypatch.setattr(spectral, name, watched(name))
     rng = np.random.default_rng(10)
     a = rng.standard_normal(shape)
     b = a + 0.1 * rng.standard_normal(shape)
-    matrix_angles(watch.loader(lambda: a), watch.loader(lambda: b))
-    assert len(watch.refs) == 2
-    assert watch.calls == 1  # one dgeqrf of the stacked pair
+
+    def into(w):
+        def load(out):
+            outs.append(out)
+            out[...] = w
+
+        return load
+
+    left, right = matrix_angles(into(a), into(b), shape)
+    assert [name for name, _ in lapack] == ["_geqrf", "_geqrf", "_orgqr"]
+    stack = lapack[0][1]
+    assert stack.shape == (max(shape), 2 * min(shape)) and stack.flags.f_contiguous
+    assert all(np.shares_memory(out, stack) for out in outs)
+    assert not np.shares_memory(*outs)
+    assert all(np.shares_memory(array, stack) for _, array in lapack[1:])
+    assert max(left.max_rad, right.max_rad) > 1e-3
 
 
-def test_matrix_angles_peak_is_at_most_3_7_matrices(tall_pair):
-    # the 2n-column stack and one decoded matrix, about 3.5; with an SVD of
-    # each matrix, about 4.4
+def test_matrix_angles_peak_is_at_most_2_6_matrices(tall_pair):
+    # the 2n-column stack that both matrices decode into, plus one F32
+    # payload while it is decoded, about 2.5; with a decoded matrix beside
+    # the stack, about 3.5
     host_path, donor_path, matrix_bytes = tall_pair
     host, donor = open_checkpoint(host_path), open_checkpoint(donor_path)
-    peak = traced_peak(lambda: matrix_angles(lambda: load_matrix(host, TALL_NAME),
-                                             lambda: load_matrix(donor, TALL_NAME)))
-    assert peak <= 3.7 * matrix_bytes, peak / matrix_bytes
+    loads = [functools.partial(load_matrix, ckpt, TALL_NAME) for ckpt in (host, donor)]
+    peak = traced_peak(lambda: matrix_angles(*loads, (600, 200)))
+    assert peak <= 2.6 * matrix_bytes, peak / matrix_bytes
 
 
-def test_pair_of_different_shapes_is_a_validation_error():
+def test_delta_sigma_peak_is_at_most_2_1_matrices(tall_pair):
+    # each matrix is handed over to its values-only svd, so A is freed
+    # before B is decoded: one matrix and LAPACK's copy of it, about 2.0;
+    # with both decoded first, about 3.0
+    host_path, donor_path, matrix_bytes = tall_pair
+    host, donor = open_checkpoint(host_path), open_checkpoint(donor_path)
+    loads = [functools.partial(load_matrix, ckpt, TALL_NAME) for ckpt in (host, donor)]
+    peak = traced_peak(lambda: delta_sigma(*loads))
+    assert peak <= 2.1 * matrix_bytes, peak / matrix_bytes
+
+
+def test_pair_of_different_shapes_is_a_validation_error(write_container):
+    path = write_container({"w": ("F64", np.eye(3, 2)), "v": ("F64", np.eye(2, 3))})
+    ckpt = open_checkpoint(path)
+    loads = [functools.partial(load_matrix, ckpt, name) for name in ("w", "v")]
     with pytest.raises(ValidationError, match="shape mismatch"):
-        matrix_angles(lambda: np.eye(3, 2), lambda: np.eye(2, 3))
+        matrix_angles(*loads, (3, 2))
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        delta_sigma(*loads)
 
 
-@pytest.mark.parametrize("shape", [(9, 5), (5, 9)])
+# (9, 5) and (5, 9) have rows < 2 cols, so Q_B's bottom block has 4 rows and one sine
+# is zero-padded; (24, 10) and (10, 24) pad none
+@pytest.mark.parametrize("shape", [(9, 5), (5, 9), (24, 10), (10, 24)])
 def test_rectangular_pair_decomposes_for_its_partial_side_only(shape):
     rng = np.random.default_rng(6)
     a = rng.standard_normal(shape)
     b = a + 0.1 * rng.standard_normal(shape)
-    left, right = matrix_angles(lambda: a, lambda: b)
+    left, right = angles_of(a, b)
     m, n = shape
     tall = m > n
     full, partial = (right, left) if tall else (left, right)
@@ -485,7 +544,7 @@ def test_pair_with_fewer_than_2n_rows_shares_2n_minus_m_directions(shape):
     # two n-dimensional column spaces in R^m, m < 2n, meet in at least 2n - m dimensions
     rng = np.random.default_rng(8)
     a, b = rng.standard_normal((2, *shape))
-    left, right = matrix_angles(lambda: a, lambda: b)
+    left, right = angles_of(a, b)
     partial = left if shape[0] > shape[1] else right
     shared = 2 * min(shape) - max(shape)
     assert np.all(partial.angles_rad[:shared] <= 1e-15), partial.angles_rad[:shared]
@@ -499,9 +558,9 @@ def test_value_shift_recovered_and_subspaces_fixed():
     t = svd(w)
     shift = np.linspace(0.04, 0.01, 5)  # keeps the spectrum descending and distinct
     w2 = (t.u * (t.sigma + shift)) @ t.v.T
-    spec = delta_sigma(w, w2)
+    spec = drift_of(w, w2)
     np.testing.assert_allclose(spec.delta, shift, atol=1e-10)
-    left, right = matrix_angles(lambda: w, lambda: w2)
+    left, right = angles_of(w, w2)
     assert left.max_rad <= 1e-8
     assert right.max_rad <= 1e-8
 
@@ -518,8 +577,8 @@ def test_rotation_vs_scaling_rates():
     drifts, angles = [], []
     for eta in etas:
         w2 = w @ (np.eye(10) + eta * askew)
-        spec = delta_sigma(w, w2)
-        _, right = matrix_angles(lambda: w, lambda: w2)
+        spec = drift_of(w, w2)
+        _, right = angles_of(w, w2)
         drifts.append(spec.max_abs / np.linalg.norm(svd(w).sigma))
         angles.append(right.max_rad)
     drift_slope = np.polyfit(np.log(etas), np.log(drifts), 1)[0]
@@ -532,9 +591,9 @@ def test_orthogonal_invariance():
     rng = np.random.default_rng(8)
     w = rng.standard_normal((7, 5))
     q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
-    spec = delta_sigma(w, q @ w)
+    spec = drift_of(w, q @ w)
     assert spec.max_abs <= 1e-10
-    left, _ = matrix_angles(lambda: w, lambda: q @ w)
+    left, _ = angles_of(w, q @ w)
     assert left.max_rad > 0.1  # a generic rotation moves the left subspace
 
 
@@ -613,6 +672,20 @@ def test_angles_cosine_consistency():
     np.testing.assert_allclose(np.cos(spec.angles_rad), spec.cosines, atol=1e-12)
     assert np.all(np.diff(spec.cosines) <= 1e-15)
     assert np.all(np.diff(spec.angles_rad) >= -1e-15)
+
+
+@pytest.mark.parametrize("k", [30, 12, 8])
+def test_first_axes_given_by_their_count_are_the_identity_block(k):
+    n = 8
+    rng = np.random.default_rng(k)
+    q = np.linalg.qr(np.eye(k, n) + 0.1 * rng.standard_normal((k, n)))[0]
+    got = principal_angles(n, q, side="right")
+    want = principal_angles(np.eye(k, n), q, side="right")
+    assert (got.side, got.rank) == (want.side, want.rank) == ("right", n)
+    assert got.cosines.tobytes() == want.cosines.tobytes()
+    np.testing.assert_allclose(got.angles_rad, want.angles_rad, rtol=0, atol=1e-15)
+    with pytest.raises(ValidationError, match="basis shape mismatch"):
+        principal_angles(n + 1, q)
 
 
 def test_angles_reject_non_orthonormal():

@@ -211,6 +211,29 @@ def test_load_non_finite_rejected(write_container):
         load_matrix(open_checkpoint(path), "w")
 
 
+@pytest.mark.parametrize("dtype", ["F64", "F32", "F16", "BF16"])
+def test_load_into_out_is_the_plain_load_in_any_memory_order(dtype, write_container):
+    w = np.random.default_rng(4).standard_normal((5, 3))
+    bits = np.frombuffer(encode_values(w, "BF16"), dtype="<u2").reshape(w.shape)
+    path = write_container({"w": (dtype, bits if dtype == "BF16" else w)})
+    ckpt = open_checkpoint(path)
+    want = load_matrix(ckpt, "w")
+    stack = np.zeros((5, 6), order="F")  # an F-ordered half, and a transposed one
+    for out in (stack[:, :3], np.zeros((3, 5)).T, np.empty((5, 3))):
+        got = load_matrix(ckpt, "w", out=out)
+        assert np.shares_memory(got, out)
+        assert np.array_equal(out, want)
+    assert not stack[:, 3:].any()  # the other half is not touched
+    with pytest.raises(ValidationError, match=r"shape mismatch.*\(5, 3\).*\(3, 5\)"):
+        load_matrix(ckpt, "w", out=np.empty((3, 5)))
+
+
+def test_load_into_out_checks_the_values_there(write_container):
+    path = write_container({"w": ("F32", np.array([[1.0, np.inf]]))})
+    with pytest.raises(NumericalError, match="non-finite"):
+        load_matrix(open_checkpoint(path), "w", out=np.empty((2, 1)).T)
+
+
 def test_bf16_roundtrip_error_bound():
     rng = np.random.default_rng(7)
     w = rng.standard_normal((16, 16)) * 3.0
