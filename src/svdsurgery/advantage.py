@@ -138,6 +138,8 @@ def _histogram_edges(x: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
         width = 2.0 * (q75 - q25) * x.shape[0] ** (-1.0 / 3.0)
         if width <= 0.0:
             nbins = FALLBACK_BINS
+        elif hi - lo >= MAX_BINS * width:  # the ratio may overflow to inf
+            nbins = MAX_BINS
         else:
             nbins = int(np.ceil((hi - lo) / width))
     else:

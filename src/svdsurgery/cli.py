@@ -15,14 +15,14 @@ Every command runs its BLAS and LAPACK calls on one thread (see
 order inside the decompositions and products, and with it the last bits of
 the angles and restore reports; on one thread the report bytes do not depend
 on the number of cores or on OPENBLAS_NUM_THREADS. It also saves CPU time:
-the decompositions here run no faster on two threads. The decompositions
-call NumPy's own LAPACKE `dgesdd` directly (see `spectral._lapack_svd`),
-which holds one copy of each factor fewer than `np.linalg.svd`, and
-angles factors each rectangular pair and then B's block of R in place with
-LAPACKE `dgeqrf` and `dorgqr` (see `spectral._second_block_basis`). Where
-NumPy bundles no OpenBLAS with 64-bit integers, they go through
-`np.linalg.svd` and `np.linalg.qr`: the same report bytes, with a larger
-peak.
+the decompositions here run no faster on two threads. The SVDs call
+NumPy's own LAPACKE `dgesdd` directly (see `spectral._lapack_svd`), which
+holds one copy of each factor fewer than `np.linalg.svd`; where NumPy
+bundles no OpenBLAS with 64-bit integers, they go through `np.linalg.svd`:
+the same report bytes, with a larger peak. angles factors each rectangular
+pair and then B's block of R in place with `dgeqrf` and `dorgqr` from
+`numpy.linalg.lapack_lite`, on every NumPy (see
+`spectral._second_block_basis`).
 
 svd-diff, angles, penalty and restore pair their matrices by
 `tensorstore.pair_matrices`, which gives each pair in key order with one

@@ -1,11 +1,11 @@
 """SVD with canonical signs, singular-value drift, subspace angles, alignment.
 
-Decompositions run in NumPy's own LAPACK through LAPACKE, three bindings:
-`dgesdd` for every SVD (`svd`, whose `keep` 0 is the values-only one), and
-`dgeqrf` and `dorgqr` for the QR factorizations that give a rectangular
-pair's angles in place (`matrix_angles`). Where NumPy bundles no OpenBLAS
-with 64-bit integers, `np.linalg.svd` and `np.linalg.qr` run the same
-routines: the same bytes.
+Decompositions run in NumPy's own LAPACK. Every SVD (`svd`, whose `keep`
+0 is the values-only one) calls `dgesdd` through one LAPACKE binding; where
+NumPy bundles no OpenBLAS with 64-bit integers, `np.linalg.svd` runs the
+same routine: the same bytes. The QR factorizations that give a
+rectangular pair's angles in place (`matrix_angles`) call `dgeqrf` and
+`dorgqr` through `numpy.linalg.lapack_lite`, which every NumPy ships.
 
 Tolerance constants used across the toolkit live here:
 
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import NumericalError, ValidationError
 
@@ -161,22 +162,32 @@ def _gesdd():
                                f64, i64])
 
 
-@functools.cache
-def _geqrf():
-    """NumPy's own LAPACKE `dgeqrf` wrapper (see `_lapacke`), or None."""
-    i64, f64 = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, flags="F")
-    return _lapacke("dgeqrf", [ctypes.c_int, i64, i64, f64, i64, f64])
+def _lapack_lite(routine: str, *args) -> None:
+    """Run `numpy.linalg.lapack_lite`'s `routine` in place on `args` with its workspace.
+
+    `args` are the routine's arguments before `work`, its arrays C-ordered
+    float64. lapack_lite ships with every NumPy and calls NumPy's own LAPACK.
+    The workspace takes the optimal size that LAPACK's query (lwork -1)
+    gives. A non-zero `info`, of the query or of the run, is raised as
+    NumericalError.
+    """
+    call = getattr(lapack_lite, routine)
+    size = np.empty(1)
+    info = call(*args, size, -1, 0)["info"]  # the query writes the optimal size to size[0]
+    if info == 0:
+        work = np.empty(int(size[0]))
+        info = call(*args, work, work.shape[0], 0)["info"]
+    if info != 0:
+        raise NumericalError(f"QR factorization failed ({routine} info={info})")
 
 
-@functools.cache
-def _orgqr():
-    """NumPy's own LAPACKE `dorgqr` wrapper (see `_lapacke`), or None."""
-    i64, f64 = ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, flags="F")
-    return _lapacke("dorgqr", [ctypes.c_int, i64, i64, i64, f64, i64, f64])
+def _lapack_svd(arr: np.ndarray, keep: int | None = None):
+    """(U, sigma, V^T) of `np.linalg.svd(arr, full_matrices=False)` of a checked matrix.
 
-
-def _lapack_svd(arr: np.ndarray, compute_uv: bool, keep: int | None = None):
-    """`np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)` of a checked matrix.
+    `keep` None returns the whole factors, and `keep` k only U's leading k
+    columns and V^T's leading k rows. `keep` 0 is the values-only
+    decomposition, `np.linalg.svd(arr, compute_uv=False)`'s sigma, with a U
+    and V^T of no columns and rows.
 
     It calls NumPy's own `dgesdd` column-major through LAPACKE (`_gesdd`),
     which sizes the workspace by the query NumPy runs, so every byte is the
@@ -187,12 +198,12 @@ def _lapack_svd(arr: np.ndarray, compute_uv: bool, keep: int | None = None):
     sigma, U, V^T and the workspace are allocated, so an `arr` handed over
     as the only reference (see `svd`) is freed there. The workspace and the
     copy are freed before U and V^T are copied to the C order NumPy returns
-    them in; with `keep`, only U's leading `keep` columns and V^T's rows.
-    Where `_gesdd` is None it calls `np.linalg.svd` on `arr` itself, and
-    copies the same part: the same bytes. Both routes allocate the kept
-    arrays before the decomposition's own, so that those are not freed
-    around them; the fallback's larger peak comes only from NumPy's own
-    buffers and the `arr` it still holds.
+    them in; with `keep`, only the kept part. Where `_gesdd` is None it
+    calls `np.linalg.svd` on `arr` itself, and copies the same part: the
+    same bytes. Both routes allocate the kept arrays before the
+    decomposition's own, so that those are not freed around them; the
+    fallback's larger peak comes only from NumPy's own buffers and the
+    `arr` it still holds.
 
     A `keep` outside [0, min(m, n)] is a ValidationError, and a non-zero
     `info` (non-convergence) is raised as NumericalError.
@@ -206,32 +217,28 @@ def _lapack_svd(arr: np.ndarray, compute_uv: bool, keep: int | None = None):
         if keep is not None:
             u_keep, vt_keep = np.empty((m, keep)), np.empty((keep, n))
         try:
-            out = np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)
+            out = np.linalg.svd(arr, full_matrices=False, compute_uv=keep != 0)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge: {exc}") from exc
-        if keep is None or not compute_uv:
+        if keep is None:
             return out
-        u, s, vt = out
-        u_keep[...], vt_keep[...] = u[:, :keep], vt[:keep]
-        return u_keep, s, vt_keep
-
-    a = np.array(arr, dtype=np.float64, order="F")  # dgesdd overwrites it
-    del arr
-    s = np.empty(k)
-    if keep is not None:
-        u_keep, vt_keep = np.empty((m, keep)), np.empty((keep, n))
-    if compute_uv:
-        jobz, u, vt, ldvt = b"S", np.empty((m, k), order="F"), np.empty((k, n), order="F"), k
-    else:  # u and vt are not referenced
-        jobz, u, vt, ldvt = b"N", np.empty(1), np.empty(1), 1
-    info = gesdd(102, jobz, m, n, a, m, s, u, m, vt, ldvt)  # 102: column-major
-    if info != 0:
-        raise NumericalError(f"SVD did not converge (dgesdd info={info})")
-    del a
-    if not compute_uv:
-        return s
-    if keep is None:
-        return u.copy(), s, vt.copy()
+        u, s, vt = out if keep else (u_keep, out, vt_keep)
+    else:
+        a = np.array(arr, dtype=np.float64, order="F")  # dgesdd overwrites it
+        del arr
+        s = np.empty(k)
+        if keep is not None:
+            u_keep, vt_keep = np.empty((m, keep)), np.empty((keep, n))
+        if keep == 0:  # u and vt are not referenced; the empty kept ones stand in
+            jobz, u, vt, ldvt = b"N", u_keep, vt_keep, 1
+        else:
+            jobz, u, vt, ldvt = b"S", np.empty((m, k), order="F"), np.empty((k, n), order="F"), k
+        info = gesdd(102, jobz, m, n, a, m, s, u, m, vt, ldvt)  # 102: column-major
+        if info != 0:
+            raise NumericalError(f"SVD did not converge (dgesdd info={info})")
+        del a
+        if keep is None:
+            return u.copy(), s, vt.copy()
     u_keep[...], vt_keep[...] = u[:, :keep], vt[:keep]
     return u_keep, s, vt_keep
 
@@ -263,11 +270,7 @@ def svd(w: np.ndarray, keep: int | None = None) -> SvdTriple:
     """
     held = [ensure_matrix(w)]
     del w
-    if keep == 0:
-        m, n = held[0].shape
-        s = _lapack_svd(held.pop(), compute_uv=False)
-        return SvdTriple(u=np.empty((m, 0)), sigma=s, v=np.empty((n, 0)))
-    u, s, vt = _lapack_svd(held.pop(), compute_uv=True, keep=keep)
+    u, s, vt = _lapack_svd(held.pop(), keep)
     v = vt.T
     signs = _canonical_signs(u)
     u *= signs
@@ -442,56 +445,31 @@ def _whole_space(side: str, dim: int) -> AngleSpectrum:
     return AngleSpectrum(cosines=np.ones(dim), angles_rad=np.zeros(dim), side=side, rank=dim)
 
 
-def _householder_r(stack: np.ndarray) -> np.ndarray:
-    """R of the QR factorization of the Fortran-ordered (rows, cols) `stack`, (k, cols).
-
-    k = min(rows, cols). Through NumPy's own LAPACKE `dgeqrf` (`_geqrf`),
-    the stack is factored in place and the result is a view of its leading
-    k rows: R on and above the diagonal, Householder vectors below it.
-    Where `_geqrf` is None, it is `np.linalg.qr(stack, mode="r")`, which
-    factors a copy with the same dgeqrf: the same R, with zeros below the
-    diagonal. A non-zero `info` is raised as NumericalError.
-    """
-    rows, cols = stack.shape
-    k = min(rows, cols)
-    geqrf = _geqrf()
-    if geqrf is None:
-        return np.linalg.qr(stack, mode="r")
-    info = geqrf(102, rows, cols, stack, rows, np.empty(k))  # 102: column-major
-    if info != 0:
-        raise NumericalError(f"QR factorization failed (dgeqrf info={info})")
-    return stack[:k]
-
-
 def _second_block_basis(stack: np.ndarray, cols: int) -> np.ndarray:
     """An orthonormal basis, (k, cols), of the last `cols` columns of R, where `stack` = Q R.
 
     `stack` is Fortran-ordered, (rows, 2 cols), and k = min(rows, 2 cols).
-    Through NumPy's own LAPACKE `dgeqrf` and `dorgqr` (`_geqrf`, `_orgqr`),
-    everything happens in `stack`: it is factored (`_householder_r`), the
-    Householder vectors below R's last `cols` columns are zeroed, and those
-    k x cols columns, read with leading dimension rows, are factored again
-    and overwritten by the Q of that factorization, which is returned as a
-    view of `stack`. Where either binding is None, R's columns are copied
-    out and `np.linalg.qr` runs the same `dgeqrf` and `dorgqr` on the copy:
-    the same bytes. A non-zero `info` is raised as NumericalError.
+    Everything happens in `stack`, through `numpy.linalg.lapack_lite`'s
+    `dgeqrf` and `dorgqr` (`_lapack_lite`): it is factored, which leaves R
+    on and above the diagonal of its leading k rows and Householder vectors
+    below it; the vectors below R's last `cols` columns are zeroed; and
+    those k x cols columns, read with leading dimension rows, are factored
+    again and overwritten by the Q of that factorization, which is returned
+    as a view of `stack`. These are the `dgeqrf` and `dorgqr` calls that
+    `np.linalg.qr(np.triu(np.linalg.qr(stack, mode="r")[:, cols:], -cols))[0]`
+    makes on copies: the same bytes. lapack_lite takes C-ordered arrays, so
+    the stack and its block go in as their transposes. A non-zero `info` is
+    raised as NumericalError.
     """
     rows = stack.shape[0]
-    r = _householder_r(stack)
-    k = r.shape[0]
-    geqrf, orgqr = _geqrf(), _orgqr()
-    if geqrf is None or orgqr is None:
-        return np.linalg.qr(np.triu(r[:, cols:], -cols))[0]
+    k = min(rows, 2 * cols)
+    _lapack_lite("dgeqrf", rows, 2 * cols, stack.T, rows, np.empty(k))
     block = stack[:, cols:]  # Fortran-ordered, so LAPACK can take it with leading dimension rows
     for j in range(cols):  # column j of R's block ends at row cols + j
         block[cols + j + 1 : k, j] = 0.0
     tau = np.empty(cols)
-    info = geqrf(102, k, cols, block, rows, tau)
-    if info != 0:
-        raise NumericalError(f"QR factorization failed (dgeqrf info={info})")
-    info = orgqr(102, k, cols, cols, block, rows, tau)
-    if info != 0:
-        raise NumericalError(f"forming Q failed (dorgqr info={info})")
+    _lapack_lite("dgeqrf", k, cols, block.T, rows, tau)
+    _lapack_lite("dorgqr", k, cols, cols, block.T, rows, tau)
     return block[:k]
 
 

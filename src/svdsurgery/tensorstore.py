@@ -152,7 +152,7 @@ def _parse_header(header: dict, data_size: int) -> tuple[dict[str, TensorInfo], 
             raise ValidationError(f"malformed header entry for {name!r}: {exc}") from exc
         if not all(type(x) is int for x in (*shape, start, end)):
             raise ValidationError(f"tensor {name!r}: shape and data_offsets must be JSON integers")
-        if dtype not in DTYPE_SIZES:
+        if not isinstance(dtype, str) or dtype not in DTYPE_SIZES:
             raise ValidationError(f"unsupported dtype {dtype!r} for tensor {name!r}")
         if not 1 <= len(shape) <= 2 or any(d < 0 for d in shape):
             raise ValidationError(f"tensor {name!r} has unsupported shape {shape}")

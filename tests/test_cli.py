@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svdsurgery import cli, spectral, surgery, tensorstore
+from svdsurgery import advantage, cli, spectral, surgery, tensorstore
 from svdsurgery.errors import NumericalError, WriteError
 from svdsurgery.reports import write_json
 
@@ -246,6 +246,20 @@ def test_malformed_header_exits_2_and_writes_nothing(header, named, pair, tmp_pa
     assert files(out) == {}
 
 
+@pytest.mark.parametrize("dtype", [["F32"], {"a": 1}, 4], ids=["array", "object", "number"])
+def test_dtype_that_is_not_a_string_exits_2_and_writes_nothing(dtype, pair, tmp_path, capsys):
+    header = {"w": {"dtype": dtype, "shape": [1], "data_offsets": [0, 4]}}
+    blob = json.dumps(header).encode()
+    probe = tmp_path / "probe.safetensors"
+    probe.write_bytes(struct.pack("<Q", len(blob)) + blob + bytes(4))
+    assert cli.main(["inspect", str(probe)]) == 2
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "out"
+    assert cli.main(["svd-diff", "--a", str(probe), "--b", str(pair[1]), "--out", str(out)]) == 2
+    assert "unsupported dtype" in capsys.readouterr().err
+    assert files(out) == {}
+
+
 def test_stamp_writes_generated_at(pair, tmp_path):
     host, donor = (str(p) for p in pair)
     manifest = tmp_path / "manifest.json"
@@ -385,8 +399,6 @@ def test_angles_layout(pair, rollouts, tmp_path):
 
 
 def test_angles_decomposes_only_rectangular_pairs(pair, rollouts, tmp_path, monkeypatch):
-    if spectral._geqrf() is None or spectral._orgqr() is None:
-        pytest.skip("no dgeqrf or dorgqr binding here")
     calls = []  # per matrix_angles call: [shape, dgeqrf, dorgqr and principal_angles calls]
 
     def counted(function, slot):
@@ -400,9 +412,8 @@ def test_angles_decomposes_only_rectangular_pairs(pair, rollouts, tmp_path, monk
         calls.append([args[2], 0, 0, 0])
         return spectral.matrix_angles(*args)
 
-    for name, slot in (("_geqrf", 1), ("_orgqr", 2)):
-        binding = counted(getattr(spectral, name)(), slot)
-        monkeypatch.setattr(spectral, name, lambda binding=binding: binding)
+    qr = {"dgeqrf": counted(spectral._lapack_lite, 1), "dorgqr": counted(spectral._lapack_lite, 2)}
+    monkeypatch.setattr(spectral, "_lapack_lite", lambda routine, *args: qr[routine](routine, *args))
     monkeypatch.setattr(spectral, "principal_angles", counted(spectral.principal_angles, 3))
     monkeypatch.setattr(cli, "matrix_angles", matrix_angles)
     assert cli.main(commands(pair, rollouts)["angles"] + ["--out", str(tmp_path / "out")]) == 0
@@ -477,6 +488,18 @@ def test_adv_stats_out_of_range_scale_exits_3_and_names_it(scale, cause, rollout
     assert cli.main(["adv-stats", "--input", str(rollouts), "--out", str(out)]) == 3
     assert cause in capsys.readouterr().err
     assert files(out) == {}
+
+
+def test_adv_stats_caps_fd_bins_whose_count_overflows(tmp_path):
+    # an IQR of 1e-300 against a range of 2e10: (max - min) / width is inf
+    samples = [-1e10] + [0.0] * 100 + [1e-300] * 100 + [1e10]
+    log = tmp_path / "advantages.jsonl"
+    log.write_text("".join(json.dumps({"advantage": x}) + "\n" for x in samples))
+    out = tmp_path / "out"
+    assert cli.main(["adv-stats", "--input", str(log), "--bootstrap", "20",
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "summary.json").read_text())
+    assert report["estimator_config"]["bins_used"] == advantage.MAX_BINS
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +681,8 @@ def test_manifest_sweep_writes_one_output_per_grid_point(pair, tmp_path):
 
 def test_every_output_is_the_same_bytes_with_the_fallback_svd(pair, rollouts, tmp_path,
                                                               monkeypatch):
-    # `_lapack_svd` promises np.linalg.svd's bytes and `_householder_r` np.linalg.qr's R;
-    # every report and checkpoint shows it
+    # `_lapack_svd` promises np.linalg.svd's bytes, and every report and checkpoint
+    # shows it; the angles QR has one route, lapack_lite, on both runs
     if spectral._gesdd() is None:
         pytest.skip("no dgesdd binding here")
     out = tmp_path / "out"
@@ -680,8 +703,6 @@ def test_every_output_is_the_same_bytes_with_the_fallback_svd(pair, rollouts, tm
     binding = run_all()
     assert sum(name.endswith(".safetensors") for name in binding) == 6
     monkeypatch.setattr(spectral, "_gesdd", lambda: None)
-    monkeypatch.setattr(spectral, "_geqrf", lambda: None)
-    monkeypatch.setattr(spectral, "_orgqr", lambda: None)
     assert run_all() == binding
 
 

@@ -148,16 +148,6 @@ def test_dgesdd_is_bound_wherever_numpy_bundles_an_ilp64_openblas():
     assert spectral._gesdd() is not None, f"no dgesdd found in {bundled}"
 
 
-def test_dgeqrf_is_bound_wherever_dgesdd_is():
-    # LAPACKE_dgeqrf64_ on NumPy 1.x wheels, scipy_LAPACKE_dgeqrf64_ on 2.x
-    assert (spectral._geqrf() is None) == (spectral._gesdd() is None)
-
-
-def test_dorgqr_is_bound_wherever_dgesdd_is():
-    # LAPACKE_dorgqr64_ on NumPy 1.x wheels, scipy_LAPACKE_dorgqr64_ on 2.x
-    assert (spectral._orgqr() is None) == (spectral._gesdd() is None)
-
-
 def _qr_stacks():
     rng = np.random.default_rng(13)
     a, b = rng.standard_normal((2, 12, 30))  # a wide pair, stacked as its transposes
@@ -170,26 +160,38 @@ def _qr_stacks():
 
 @pytest.mark.parametrize("name", list(_qr_stacks()))
 def test_householder_r_is_numpy_qr_r_bit_for_bit(name):
-    if spectral._geqrf() is None:
-        pytest.skip("no dgeqrf binding here")
+    # the stack's R, and the Q of R's last cols columns formed in place from
+    # it, are the ones np.linalg.qr gives on copies
     stack = _qr_stacks()[name]
-    want = np.linalg.qr(stack, mode="r")
-    got = spectral._householder_r(np.array(stack, order="F"))  # factored in place
+    cols = stack.shape[1] // 2
+    want = np.linalg.qr(np.triu(np.linalg.qr(stack, mode="r")[:, cols:], -cols))[0]
+    got = spectral._second_block_basis(np.array(stack, order="F"), cols)
     assert got.shape == want.shape
-    assert np.triu(got).tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+def _lapack_lite_with_lda_zero(monkeypatch, routine):
+    """Make `spectral._lapack_lite` hand `routine` an invalid leading dimension, 0."""
+    real = spectral._lapack_lite
+    lda = {"dgeqrf": 3, "dorgqr": 4}[routine]  # its position among the arguments
+
+    def call(name, *args):
+        if name == routine:
+            args = (*args[:lda], 0, *args[lda + 1:])
+        return real(name, *args)
+
+    monkeypatch.setattr(spectral, "_lapack_lite", call)
 
 
 def test_dgeqrf_failure_is_a_numerical_error(monkeypatch):
-    monkeypatch.setattr(spectral, "_geqrf", lambda: lambda *args: -4)  # info < 0: bad argument
+    _lapack_lite_with_lda_zero(monkeypatch, "dgeqrf")  # LAPACK's info -4: lda is invalid
     a = np.random.default_rng(3).standard_normal((9, 5))
     with pytest.raises(NumericalError, match="dgeqrf info=-4"):
         angles_of(a, a)
 
 
 def test_dorgqr_failure_is_a_numerical_error(monkeypatch):
-    if spectral._geqrf() is None:
-        pytest.skip("no dgeqrf binding here")
-    monkeypatch.setattr(spectral, "_orgqr", lambda: lambda *args: -5)  # info < 0: bad argument
+    _lapack_lite_with_lda_zero(monkeypatch, "dorgqr")  # LAPACK's info -5: lda is invalid
     a = np.random.default_rng(3).standard_normal((9, 5))
     with pytest.raises(NumericalError, match="dorgqr info=-5"):
         angles_of(a, a)
@@ -209,9 +211,9 @@ def lapack_path(request, monkeypatch):
 def test_lapack_svd_is_numpy_svd_bit_for_bit_in_the_same_layout(name, lapack_path):
     w = _lapack_inputs()[name]
     before = w.copy()
-    got = spectral._lapack_svd(w, compute_uv=True)
+    got = spectral._lapack_svd(w)
     want = np.linalg.svd(w, full_matrices=False)
-    got_values = spectral._lapack_svd(w, compute_uv=False)
+    got_values = spectral._lapack_svd(w, 0)[1]
     want_values = np.linalg.svd(w, compute_uv=False)
     for g, e in [*zip(got, want), (got_values, want_values)]:
         assert (g.dtype, g.shape, g.strides) == (e.dtype, e.shape, e.strides)
@@ -403,9 +405,9 @@ def test_fallback_non_convergence_is_a_numerical_error(monkeypatch):
 
     monkeypatch.setattr(spectral, "_gesdd", lambda: None)
     monkeypatch.setattr(np.linalg, "svd", not_converging)
-    for compute_uv in (True, False):
+    for keep in (None, 0):
         with pytest.raises(NumericalError, match="did not converge"):
-            spectral._lapack_svd(np.eye(3), compute_uv)
+            spectral._lapack_svd(np.eye(3), keep)
 
 
 def test_square_pair_angles_are_exact_without_a_decomposition(monkeypatch):
@@ -449,21 +451,15 @@ def test_tall_pair_drops_a_before_b_is_decomposed():
 def test_matrix_angles_decodes_both_matrices_into_its_qr_stack(shape, monkeypatch):
     # the loaders write into the two halves of the one buffer that dgeqrf
     # factors, and Q_B is formed in that buffer too: no decoded matrix exists
-    if spectral._geqrf() is None or spectral._orgqr() is None:
-        pytest.skip("no dgeqrf or dorgqr binding here")
     outs, lapack = [], []
+    real = spectral._lapack_lite
 
-    def watched(name):
-        routine = getattr(spectral, name)()
+    def watched(routine, *args):
+        # lapack_lite takes the transposes: read the Fortran-ordered arrays back
+        lapack.append((routine, (args[3] if routine == "dorgqr" else args[2]).T))
+        return real(routine, *args)
 
-        def call(*args):
-            lapack.append((name, args[4] if name == "_orgqr" else args[3]))
-            return routine(*args)
-
-        return lambda: call
-
-    for name in ("_geqrf", "_orgqr"):
-        monkeypatch.setattr(spectral, name, watched(name))
+    monkeypatch.setattr(spectral, "_lapack_lite", watched)
     rng = np.random.default_rng(10)
     a = rng.standard_normal(shape)
     b = a + 0.1 * rng.standard_normal(shape)
@@ -476,7 +472,7 @@ def test_matrix_angles_decodes_both_matrices_into_its_qr_stack(shape, monkeypatc
         return load
 
     left, right = matrix_angles(into(a), into(b), shape)
-    assert [name for name, _ in lapack] == ["_geqrf", "_geqrf", "_orgqr"]
+    assert [name for name, _ in lapack] == ["dgeqrf", "dgeqrf", "dorgqr"]
     stack = lapack[0][1]
     assert stack.shape == (max(shape), 2 * min(shape)) and stack.flags.f_contiguous
     assert all(np.shares_memory(out, stack) for out in outs)
