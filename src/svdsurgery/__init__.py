@@ -30,7 +30,6 @@ from .spectral import (
     delta_sigma,
     matrix_angles,
     principal_angles,
-    procrustes,
     svd,
 )
 from .surgery import (
@@ -85,7 +84,6 @@ __all__ = [
     "penalty_grad",
     "penalty_value",
     "principal_angles",
-    "procrustes",
     "read_rollout_log",
     "resolve_keys",
     "run_surgery",

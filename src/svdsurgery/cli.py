@@ -57,7 +57,7 @@ adv-stats or penalty) plus that command's parameters:
   flag (exit 2);
 - `inputs` is an object holding any of those keys, usually the input
   files; a key at the top level overrides it;
-- `output_dir` is another name for `out`;
+- `output_dir` is another name for `out`; a manifest may give only one;
 - `sweep` (restore only) is an object holding `layers` and/or `ranks`,
   each a non-empty list of selector strings; each list replaces the single
   selector. Every count in a selector is written in ASCII digits, with
@@ -107,7 +107,6 @@ from .penalty import fit_reference, penalty_value
 from .reports import write_csv, write_json
 from .spectral import delta_sigma, matrix_angles, one_blas_thread
 from .surgery import (
-    ALIGNMENTS,
     DEFAULT_SURGERY_KINDS,
     MODES,
     LayerSelector,
@@ -281,7 +280,7 @@ def run_restore(params: dict) -> int:
     ))
     plan = SurgeryPlan(
         mode=params["mode"], donor=donor, host=host, profile=profile, grid=grid,
-        kinds=params["kinds"], align=params["align"],
+        kinds=params["kinds"],
     )
     stems = [
         f"{plan.mode}__layers-{_selector_slug(layers)}__ranks-{_selector_slug(ranks)}"
@@ -498,6 +497,8 @@ def run_manifest(params: dict) -> int:
     given = dict(inputs)
     given.update((k, v) for k, v in manifest.items() if k not in ("inputs", "command"))
     if "output_dir" in given:
+        if "out" in given:
+            raise ValidationError("manifest names both 'out' and 'output_dir'; give one")
         given["out"] = given.pop("output_dir")
     if params["stamp"]:
         given["stamp"] = True
@@ -616,7 +617,6 @@ _COMMANDS = {
         _PROFILE,
         _OUT,
         ("--force-f32", {"action": "store_true", "default": False}),
-        ("--align", {"default": "none", "choices": ALIGNMENTS}),
         _STAMP,
     ]),
     "adv-stats": (run_adv_stats, "advantage-distribution statistics and verdict", [

@@ -1,4 +1,4 @@
-"""SVD with canonical signs, singular-value drift, subspace angles, alignment.
+"""SVD with canonical signs, singular-value drift, subspace angles.
 
 Decompositions run in NumPy's own LAPACK. Every SVD (`svd`, whose `keep`
 0 is the values-only one) calls `dgesdd` through one LAPACKE binding; where
@@ -515,17 +515,3 @@ def matrix_angles(
     partial = principal_angles(cols, _second_block_basis(stack, cols),
                                side="left" if tall else "right")
     return (partial, _whole_space("right", n)) if tall else (_whole_space("left", m), partial)
-
-
-# ---------------------------------------------------------------------------
-# orthogonal alignment
-
-
-def procrustes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Orthogonal R minimizing ||A R - B||_F, from the SVD of A^T B."""
-    a = ensure_matrix(a, "A")
-    b = ensure_matrix(b, "B")
-    if a.shape != b.shape:
-        raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    t = svd(a.T @ b)
-    return t.u @ t.v.T  # the joint sign flips cancel in the product, bit for bit

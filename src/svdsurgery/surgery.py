@@ -10,10 +10,12 @@ peak memory is set by the largest matrix, not by the number of layers or
 grid points. Each restore decision is made once: the plan resolves which
 ranks every grid point edits in every matrix (`plan_selection`), and each
 output's writer narrows its edits to the dtype of their slot.
-Pairing of singular directions is by rank index after canonical sorting;
-mixed column sets are used as-is, with no re-orthogonalization, so the
-report flags matrices whose selection boundary falls inside a
-near-degenerate gap.
+There is one splice per mode: the donor's singular values, or its u and v
+columns, at the selected ranks. Pairing of singular directions is by rank
+index after canonical sorting; the donor's columns are not rotated toward
+the host's, and the mixed column sets are used as-is, with no
+re-orthogonalization, so the report flags matrices whose selection
+boundary falls inside a near-degenerate gap.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import SvdTriple, boundary_gap, procrustes, svd
+from .spectral import SvdTriple, boundary_gap, svd
 from .tensorstore import (
     DEFAULT_SURGERY_KINDS,
     Checkpoint,
@@ -40,7 +42,6 @@ from .tensorstore import (
 )
 
 MODES = ("values", "vectors")
-ALIGNMENTS = ("none", "procrustes")
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +150,9 @@ Target = tuple[MatrixKey, str, str, Callable, Callable]
 class SurgeryPlan:
     """One restore run: grid point i selects `grid[i]` and writes its own checkpoint.
 
-    Its `kinds` are checked against the profile by the walk `plan_selection` runs.
+    Every grid point splices the same way: `mode` alone says what it takes
+    from the donor (see `mixed_matrix`). Its `kinds` are checked against the
+    profile by the walk `plan_selection` runs.
     """
 
     mode: str  # one of MODES
@@ -158,18 +161,12 @@ class SurgeryPlan:
     profile: NamingProfile
     grid: list[tuple[LayerSelector, RankSelector]]
     kinds: tuple[str, ...] = DEFAULT_SURGERY_KINDS
-    align: str = "none"  # one of ALIGNMENTS; "procrustes" is vectors mode only, experimental
     #: from `plan_selection`: each matrix to edit, with its ranks per grid point
     targets: list[tuple[Target, list[np.ndarray | None]]] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.align not in ALIGNMENTS:
-            raise ValidationError(f"align must be one of {ALIGNMENTS}, got {self.align!r}")
-        if self.align == "procrustes" and self.mode != "vectors":
-            raise ValidationError("align 'procrustes' needs mode 'vectors'; values mode keeps "
-                                  "the host's singular vectors, so there is nothing to align")
         self.targets = plan_selection(self)
 
     def echo(self, point: int) -> dict:
@@ -182,7 +179,6 @@ class SurgeryPlan:
             "layers": str(layers),
             "ranks": str(ranks),
             "kinds": list(self.kinds),
-            "align": self.align,
         }
 
 
@@ -226,17 +222,6 @@ def mixed_matrix(
     v[:, ranks] = donor_t.v[:, ranks]
     u *= host_t.sigma
     return u @ v.T
-
-
-def _aligned_donor(host_t: SvdTriple, donor_t: SvdTriple, ranks: np.ndarray) -> SvdTriple:
-    """Rotate the donor's selected columns onto the host's span (experimental)."""
-    u = donor_t.u.copy()
-    v = donor_t.v.copy()
-    ru = procrustes(donor_t.u[:, ranks], host_t.u[:, ranks])
-    rv = procrustes(donor_t.v[:, ranks], host_t.v[:, ranks])
-    u[:, ranks] = donor_t.u[:, ranks] @ ru
-    v[:, ranks] = donor_t.v[:, ranks] @ rv
-    return SvdTriple(u=u, sigma=donor_t.sigma, v=v)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +316,7 @@ def _splice_target(
     for j, (i, ranks) in enumerate(points):
         if ranks.size == 0:
             continue
-        point_donor_t = (
-            _aligned_donor(host_t, donor_t, ranks) if plan.align == "procrustes" else donor_t
-        )
-        w_out = mixed_matrix(host_t, point_donor_t, plan.mode, ranks)
+        w_out = mixed_matrix(host_t, donor_t, plan.mode, ranks)
         diff = load_host()
         np.subtract(w_out, diff, out=diff)
         fro_vs_host = float(np.linalg.norm(diff))
@@ -348,10 +330,10 @@ def _splice_target(
             key=key, tensor=host_name, status="edited", ranks_touched=int(ranks.size),
             rank_lo=int(ranks.min()), rank_hi=int(ranks.max()), fro_vs_host=fro_vs_host,
             fro_vs_donor=fro_vs_donor, max_entry_change=max_entry_change,
-            degenerate_boundary=any(boundary_gap(t.sigma, ranks)[1] for t in (host_t, point_donor_t)),
+            degenerate_boundary=any(boundary_gap(t.sigma, ranks)[1] for t in (host_t, donor_t)),
         )
         results[j] = (i, record, writers[i].write_edit(host_name, w_out))
-        del w_out, point_donor_t  # free before the next grid point mixes its own
+        del w_out  # free before the next grid point mixes its own
     return results
 
 

@@ -397,7 +397,7 @@ _DECODER_PATTERNS = [
 
 @dataclass
 class NamingProfile:
-    """Ordered tensor-name templates plus exclusion globs."""
+    """Ordered tensor-name templates, whose `{layer}` is ASCII digits, plus exclusion globs."""
 
     name: str
     patterns: list[tuple[str, str]]  # (template with {layer}, kind)
@@ -422,7 +422,7 @@ class NamingProfile:
                 raise ValidationError(
                     f"profile {self.name!r}: template {template!r} needs exactly one {{layer}}"
                 )
-            regex = re.escape(template).replace(re.escape("{layer}"), r"(\d+)")
+            regex = re.escape(template).replace(re.escape("{layer}"), "([0-9]+)")
             self._compiled.append((re.compile(regex), kind))
 
     def is_excluded(self, name: str) -> bool:

@@ -436,7 +436,7 @@ def test_restore_layout(pair, rollouts, tmp_path):
     assert set(report) == {"command", "toolkit_version", "plan", "output_checkpoint",
                            "edited_matrices", "records", "copied_tensors", "write"}
     assert set(report["plan"]) == {"mode", "donor", "host", "profile", "layers", "ranks",
-                                   "kinds", "align"}
+                                   "kinds"}
     assert report["edited_matrices"] == len(report["records"]) == 12
     assert set(report["records"][0]) == {
         "key", "tensor", "status", "ranks_touched", "rank_lo", "rank_hi", "fro_vs_host",
@@ -635,11 +635,17 @@ def test_penalty_kinds_present_in_only_one_file_exit_2_with_the_walk_message(
     assert files(out) == {}
 
 
-def test_procrustes_alignment_in_values_mode_exits_2(pair, rollouts, tmp_path, capsys):
+def test_align_flag_and_manifest_key_are_unknown_and_exit_2(pair, rollouts, tmp_path, capsys):
     out = tmp_path / "out"
-    argv = commands(pair, rollouts)["restore-values"] + ["--align", "procrustes"]
-    assert cli.main(argv + ["--out", str(out)]) == 2
-    assert "procrustes" in capsys.readouterr().err
+    argv = commands(pair, rollouts)["restore-vectors"] + ["--align", "procrustes"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --align procrustes" in capsys.readouterr().err
+    assert files(out) == {}
+    manifest = restore_manifest(pair, out, mode="vectors", align="procrustes")
+    assert run_manifest(tmp_path, manifest) == 2
+    assert capsys.readouterr().err == "error: unknown restore manifest key(s): align\n"
     assert files(out) == {}
 
 
@@ -687,9 +693,7 @@ def test_every_output_is_the_same_bytes_with_the_fallback_svd(pair, rollouts, tm
         pytest.skip("no dgesdd binding here")
     out = tmp_path / "out"
     argvs = [commands(pair, rollouts)[name] + ["--out", str(out / name)]
-             for name in ("svd-diff", "angles", "restore-values", "penalty")]
-    argvs.append(commands(pair, rollouts)["restore-vectors"]
-                 + ["--align", "procrustes", "--out", str(out / "procrustes")])
+             for name in ("svd-diff", "angles", "restore-values", "restore-vectors", "penalty")]
     sweep = {"layers": ["first:1", "all"], "ranks": ["top:2", "top:6"]}
     manifest = restore_manifest(pair, out / "sweep", mode="vectors", sweep=sweep)
 
@@ -728,10 +732,17 @@ def test_manifest_missing_output_dir_exits_2(pair, tmp_path):
     assert run_manifest(tmp_path, manifest) == 2
 
 
+def test_manifest_naming_both_out_and_output_dir_exits_2(pair, tmp_path, capsys):
+    manifest = restore_manifest(pair, tmp_path / "outB", mode="values")
+    manifest["out"] = str(tmp_path / "outA")
+    assert run_manifest(tmp_path, manifest) == 2
+    assert capsys.readouterr().err == (
+        "error: manifest names both 'out' and 'output_dir'; give one\n")
+    assert files(tmp_path / "outA") == files(tmp_path / "outB") == {}
+
+
 @pytest.mark.parametrize("extra, named", [
     ({"mode": "value"}, "mode must be one of ('values', 'vectors'), got 'value'"),
-    ({"mode": "vectors", "align": "Procrustes"},
-     "align must be one of ('none', 'procrustes'), got 'Procrustes'"),
 ])
 def test_manifest_mode_or_align_outside_its_words_exits_2(extra, named, pair, tmp_path, capsys):
     out = tmp_path / "out"
@@ -1075,8 +1086,7 @@ def test_sweep_decomposes_each_edited_matrix_once(ranks, edited, pair, tmp_path,
 @pytest.mark.parametrize("flags, sweep", [
     ({"mode": "values", "force_f32": True},
      {"layers": ["first:1", "all"], "ranks": ["top:2", "range:1:5"]}),
-    ({"mode": "vectors", "align": "procrustes"},
-     {"layers": ["last:1", "all"], "ranks": ["top:3", "bottom:2"]}),
+    ({"mode": "vectors"}, {"layers": ["last:1", "all"], "ranks": ["top:3", "bottom:2"]}),
     ({"mode": "values"}, {"layers": ["all"], "ranks": ["top:0", "top:4"]}),
 ])
 def test_each_sweep_grid_point_matches_the_same_selection_run_alone(flags, sweep, pair, tmp_path):

@@ -21,7 +21,6 @@ from svdsurgery.spectral import (
     delta_sigma,
     matrix_angles,
     principal_angles,
-    procrustes,
     sign_canonicalize,
     svd,
 )
@@ -394,7 +393,7 @@ def test_svd_non_convergence_is_a_numerical_error(monkeypatch):
     w, tall = np.eye(3), np.eye(3, 2)  # a square pair's angles need no decomposition
     for call in (lambda: svd(w), lambda: drift_of(w, w),
                  lambda: angles_of(tall, tall),
-                 lambda: principal_angles(w, w), lambda: procrustes(w, w)):
+                 lambda: principal_angles(w, w)):
         with pytest.raises(NumericalError, match="did not converge"):
             call()
 
@@ -698,44 +697,3 @@ def test_angles_recover_any_rotation(theta):
     base = np.eye(4)[:, :1]
     spec = principal_angles(base, plane_rotation(4, 0, 1, theta) @ base)
     assert abs(spec.angles_rad[0] - theta) <= 1e-8
-
-
-# ---------------------------------------------------------------------------
-# procrustes
-
-
-def test_procrustes_identity():
-    rng = np.random.default_rng(15)
-    a = rng.standard_normal((9, 4))
-    r = procrustes(a, a)
-    np.testing.assert_allclose(r, np.eye(4), atol=1e-10)
-
-
-def test_procrustes_recovers_rotation():
-    rng = np.random.default_rng(16)
-    a, _ = np.linalg.qr(rng.standard_normal((10, 4)))
-    r_true = plane_rotation(4, 0, 1, np.radians(10.0))
-    r_hat = procrustes(a, a @ r_true)
-    assert np.linalg.norm(r_hat - r_true) <= 1e-8
-    assert np.linalg.norm(r_hat.T @ r_hat - np.eye(4)) <= 1e-10
-
-
-def test_procrustes_noisy_residual():
-    rng = np.random.default_rng(17)
-    a = rng.standard_normal((12, 5))
-    r_true = plane_rotation(5, 1, 3, np.radians(25.0))
-    b = a @ r_true + 1e-9 * rng.standard_normal((12, 5))
-    r_hat = procrustes(a, b)
-    assert np.linalg.norm(a @ r_hat - b) <= 1e-6
-
-
-def test_procrustes_is_the_product_of_the_unflipped_factors_bit_for_bit():
-    rng = np.random.default_rng(9)
-    a, b = rng.standard_normal((2, 20, 6))
-    u, _, vt = np.linalg.svd(a.T @ b)
-    assert procrustes(a, b).tobytes() == (u @ vt).tobytes()
-
-
-def test_procrustes_shape_mismatch():
-    with pytest.raises(ValidationError, match="shape"):
-        procrustes(np.zeros((3, 2)), np.zeros((2, 3)))

@@ -12,7 +12,6 @@ from svdsurgery.surgery import (
     LayerSelector,
     RankSelector,
     SurgeryPlan,
-    _aligned_donor,
     mixed_matrix,
     run_surgery,
 )
@@ -162,27 +161,11 @@ def test_mixed_matrix_reads_only_the_donor_columns_a_truncated_triple_holds():
             mixed_matrix(host, triple, "vectors", ranks)
 
 
-def test_aligned_donor_recovers_host_basis():
-    # donor spans the same top-2 subspaces as the host but with a rotated
-    # basis; alignment maps its selected columns back onto the host's
-    rng = np.random.default_rng(7)
-    host = svd(spectral_matrix(rng, 8, 6, np.linspace(9.0, 1.0, 6)))
-    ranks = np.array([0, 1])
-    rot = rotation2(40.0)
-    donor = svd(reconstruct(host))
-    donor.u[:, ranks] = donor.u[:, ranks] @ rot
-    donor.v[:, ranks] = donor.v[:, ranks] @ rot
-    aligned = _aligned_donor(host, donor, ranks)
-    np.testing.assert_allclose(aligned.u[:, ranks], host.u[:, ranks], atol=1e-8)
-    np.testing.assert_allclose(aligned.v[:, ranks], host.v[:, ranks], atol=1e-8)
-
-
 # ---------------------------------------------------------------------------
 # full-checkpoint runs
 
 
-def _make_plan(host_path, donor_path, mode="values", layers="all", ranks="all", align="none",
-               grid=None):
+def _make_plan(host_path, donor_path, mode="values", layers="all", ranks="all", grid=None):
     return SurgeryPlan(
         mode=mode,
         donor=open_checkpoint(donor_path),
@@ -192,7 +175,6 @@ def _make_plan(host_path, donor_path, mode="values", layers="all", ranks="all", 
             (LayerSelector.parse(point_layers), RankSelector.parse(point_ranks))
             for point_layers, point_ranks in grid or [(layers, ranks)]
         ],
-        align=align,
     )
 
 

@@ -474,6 +474,13 @@ def test_resolve_default_profile(write_container):
     assert "something.else" not in matched_names
 
 
+@pytest.mark.parametrize("digit", ["\u0663", "\uff13"])  # ARABIC-INDIC and FULLWIDTH three
+def test_a_layer_in_non_ascii_digits_is_outside_the_profile(digit):
+    profile = BUILTIN_PROFILES["llama-style"]
+    assert profile.match("model.layers.3.self_attn.q_proj.weight") == MatrixKey(3, "q")
+    assert profile.match(f"model.layers.{digit}.self_attn.q_proj.weight") is None
+
+
 def test_resolve_qwen_profile_excludes_attention_bias(write_container):
     names = [
         "model.layers.1.self_attn.k_proj.weight",
