@@ -37,6 +37,7 @@ MIN_SAMPLES = 200
 #: samples above this count are deterministically subsampled before the
 #: multimodality bootstrap
 SILVERMAN_MAX_N = 5000
+BANDWIDTH_REL_TOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +322,13 @@ def _count_modes(f: np.ndarray) -> int:
     return int(peaks) + int(steps[0] < 0) + int(steps[-1] > 0)
 
 
-def _critical_bandwidth(x: np.ndarray, mode_budget: int, rel_tol: float = 1e-3) -> float:
+def _critical_bandwidth(x: np.ndarray, mode_budget: int) -> float:
     """Smallest bandwidth whose KDE shows at most `mode_budget` modes (bisection).
 
     Raises NumericalError when 200 halvings do not bring the bracket within
-    relative `rel_tol`. That happens when no bandwidth shows more modes than
-    the budget on the grid, as when a far outlier leaves the bulk of the
-    sample within a cell or two of it.
+    relative BANDWIDTH_REL_TOL. That happens when no bandwidth shows more
+    modes than the budget on the grid, as when a far outlier leaves the bulk
+    of the sample within a cell or two of it.
     """
     hi = float(x.max() - x.min())
     if hi == 0.0:
@@ -336,16 +337,16 @@ def _critical_bandwidth(x: np.ndarray, mode_budget: int, rel_tol: float = 1e-3) 
         hi *= 2.0
     lo = 0.0
     for _ in range(200):
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= BANDWIDTH_REL_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if _count_modes(_kde(x, mid)) <= mode_budget:
             hi = mid
         else:
             lo = mid
-    if hi - lo > rel_tol * hi:
+    if hi - lo > BANDWIDTH_REL_TOL * hi:
         raise NumericalError(
-            f"critical bandwidth did not converge to relative {rel_tol:g}: "
+            f"critical bandwidth did not converge to relative {BANDWIDTH_REL_TOL:g}: "
             f"bisection ended with [{lo:.3g}, {hi:.3g}]"
         )
     return hi
@@ -451,8 +452,9 @@ def read_rollout_log(path: str | Path, params: GaeParams | None = None):
     if not path.is_file():
         raise ValidationError(f"rollout log not found: {path}")
     advantages: list[float] = []
-    # per trace: (t, reward or None on the terminal-value row, value)
-    steps: dict[str, list[tuple[int, float | None, float]]] = {}
+    # per trace, keyed by the id's text and JSON type, so 1 and "1" are two traces:
+    # (t, reward or None on the terminal-value row, value)
+    steps: dict[tuple[str, str], list[tuple[int, float | None, float]]] = {}
     try:  # the decode runs as the loop reads, so a non-UTF-8 file fails inside it
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -476,7 +478,8 @@ def read_rollout_log(path: str | Path, params: GaeParams | None = None):
                             raise ValueError(f"step index t must be an integer, got {t!r}")
                         reward = None if reward is None else _number(reward)
                         row = (int(t), reward, _number(rec["value"]))
-                        steps.setdefault(str(rec["trace_id"]), []).append(row)
+                        trace_id = rec["trace_id"]
+                        steps.setdefault((str(trace_id), type(trace_id).__name__), []).append(row)
                     else:
                         raise ValidationError(
                             f"{path}:{lineno}: record needs either 'advantage' or "
@@ -496,8 +499,8 @@ def read_rollout_log(path: str | Path, params: GaeParams | None = None):
     if params is None:
         params = GaeParams(gamma=0.99, lam=0.95)
     out: list[np.ndarray] = []
-    for trace_id in sorted(steps):
-        rows = sorted(steps[trace_id], key=lambda row: row[0])
+    for (trace_id, _), rows in sorted(steps.items()):
+        rows = sorted(rows, key=lambda row: row[0])
         rewards = [reward for _, reward, _ in rows if reward is not None]
         terminal = len(rows) - len(rewards)
         if terminal > 1:

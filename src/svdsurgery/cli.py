@@ -7,8 +7,9 @@ output per grid point). Exit codes: 0 success, 2 validation failure,
 
 Every command writes into a hidden staging directory inside --out and moves
 the files into place only after it succeeds, so a failed command leaves no
-output files. Reports are byte-deterministic for a fixed manifest, inputs,
-and seed; pass --stamp to embed a timestamp.
+output files; one that would replace its own input publishes none (exit 2).
+Reports are byte-deterministic for a fixed manifest, inputs, and seed; pass
+--stamp to embed a timestamp.
 
 Every command runs its BLAS and LAPACK calls on one thread (see
 `spectral.one_blas_thread`). A second OpenBLAS thread changes the summation
@@ -25,21 +26,22 @@ pair and then B's block of R in place with `dgeqrf` and `dorgqr` from
 `spectral._second_block_basis`).
 
 svd-diff, angles, penalty and restore pair their matrices by
-`tensorstore.pair_matrices`, which gives each pair in key order with one
-loader per checkpoint, and run through one driver, `tensorstore.run_pairs`.
-It runs the command's job on each pair in key order: `_drift_parts`,
-`_angle_parts`, `_penalty_row`, or for restore `surgery._splice_target` on
-each of the plan's targets. A job returns plain data (detail rows and
-summary values, a penalty row, or restore records with their rounding
-errors), and the command writes its files from the results in that order.
-Each job decides when to load, and none holds two decoded matrices at
-once. svd-diff, penalty and restore hand each decoded matrix over to
-`spectral.svd` as its only reference, so it is freed as soon as LAPACK's
-copy of it is made, one matrix below holding it through the
-decomposition, and before the next matrix is decoded. angles decodes A
-and then B straight into their halves of the pair's QR stack
-(`tensorstore.load_matrix(..., out=...)`), the pair's one working buffer,
-so no other float64 copy of either exists.
+`tensorstore.pair_matrices`, which gives each pair in key order with its
+shape and one loader per checkpoint, and run through one driver,
+`tensorstore.run_pairs`. It runs the command's job on each pair in key
+order: `_drift_parts`, `_angle_parts`, `_penalty_row`, or for restore
+`surgery._splice_target` on each of the plan's targets. A job reads its pair
+and plain settings (penalty's rank, restore's mode and writers), never a
+checkpoint or the plan, and returns plain data (detail rows and summary
+values, a penalty row, or restore records with their rounding errors); the
+command writes its files from the results in that order. Each job decides
+when to load, and none holds two decoded matrices at once. svd-diff, penalty
+and restore hand each decoded matrix over to `spectral.svd` as its only
+reference, so it is freed as soon as LAPACK's copy of it is made, one matrix
+below holding it through the decomposition, and before the next matrix is
+decoded. angles decodes A and then B straight into their halves of the
+pair's QR stack (`tensorstore.load_matrix(..., out=...)`), the pair's one
+working buffer, so no other float64 copy of either exists.
 
 A manifest is a JSON object naming a `command` (svd-diff, angles, restore,
 adv-stats or penalty) plus that command's parameters:
@@ -128,12 +130,14 @@ def _selector_slug(selector) -> str:
 
 
 @contextlib.contextmanager
-def _staged_out(path: str | Path):
+def _staged_out(path: str | Path, inputs: tuple):
     """Create the output directory `path` and yield a fresh hidden directory inside it.
 
     Files written there are moved into `path` when the block succeeds,
     unless one of their names is taken there by something other than a
-    file: then none is moved. The hidden directory is removed in every case.
+    file (a WriteError), or is one of the files `inputs` names, which the
+    command reads (a ValidationError): then none is moved. The hidden
+    directory is removed in every case.
     """
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -141,9 +145,14 @@ def _staged_out(path: str | Path):
     try:
         yield stage
         staged = sorted(stage.iterdir())
-        taken = [f.name for f in staged if (out / f.name).exists() and not (out / f.name).is_file()]
+        dests = [out / f.name for f in staged]
+        taken = [d.name for d in dests if d.exists() and not d.is_file()]
         if taken:
             raise WriteError(f"cannot write into {out}: not a file: {', '.join(taken)}")
+        read = [d.name for d in dests if d.exists() and any(
+            os.path.exists(src) and os.path.samefile(d, src) for src in inputs)]
+        if read:
+            raise ValidationError(f"cannot write over an input in {out}: {', '.join(read)}")
         for f in staged:
             os.replace(f, out / f.name)
     finally:
@@ -170,7 +179,7 @@ def _write_table(path: Path, header: list[str], rows: list[tuple], key_text) -> 
 def _present_pairs(ckpt_a, ckpt_b, profile, kinds=None) -> list[tuple]:
     """The `pair_matrices` walk, of `kinds` if given, without the keys the second file lacks."""
     pairs = pair_matrices(ckpt_a, ckpt_b, profile, kinds)
-    pairs = [pair for pair in pairs if pair[2] is not None]
+    pairs = [pair for pair in pairs if pair[4] is not None]
     if not pairs:
         of_kinds = f" of kinds {', '.join(kinds)}" if kinds else ""
         raise ValidationError(f"profile {profile.name!r} resolves no comparable 2-D tensors"
@@ -186,9 +195,8 @@ def _run_compare(params: dict, command: str, stem: str, columns: tuple, job, tot
     """Shared body of svd-diff and angles.
 
     `columns` holds the part, detail and summary column names. The job,
-    run by `run_pairs` on each matrix pair of the `pair_matrices` walk and
-    the first checkpoint, whose index gives a pair's shape, lists
-    (part, detail rows, summary values), one per detail file: a
+    run by `run_pairs` on each matrix pair of the `pair_matrices` walk,
+    lists (part, detail rows, summary values), one per detail file: a
     single empty part for svd-diff, one per side, holding the side, for
     angles. `totals(matrices)` adds report fields.
     """
@@ -199,8 +207,8 @@ def _run_compare(params: dict, command: str, stem: str, columns: tuple, job, tot
 
     summary_rows = []
     plot_rows = []
-    with _staged_out(params["out"]) as stage:
-        for (key, name_a, *_), parts in run_pairs(job, pairs, ckpt_a):
+    with _staged_out(params["out"], (params["a"], params["b"], params["profile"])) as stage:
+        for (key, name_a, *_), parts in run_pairs(job, pairs):
             slug = _key_slug(key)
             for part, rows, values in parts:
                 write_csv(stage / ("__".join((stem, slug, *part)) + ".csv"), detail_cols, rows)
@@ -223,7 +231,7 @@ def _run_compare(params: dict, command: str, stem: str, columns: tuple, job, tot
     return 0
 
 
-def _drift_parts(pair, _ckpt_a) -> list[tuple]:
+def _drift_parts(pair) -> list[tuple]:
     *_, load_a, load_b = pair
     spec = delta_sigma(load_a, load_b)
     rows = [(i, float(a), float(b), float(delta))
@@ -231,10 +239,10 @@ def _drift_parts(pair, _ckpt_a) -> list[tuple]:
     return [((), rows, (spec.delta.shape[0], spec.max_abs, spec.mean, spec.rel_drift))]
 
 
-def _angle_parts(pair, ckpt_a) -> list[tuple]:
-    _, name_a, _, load_a, load_b = pair
+def _angle_parts(pair) -> list[tuple]:
+    *_, shape, load_a, load_b = pair
     parts = []
-    for spec in matrix_angles(load_a, load_b, ckpt_a.index[name_a].shape):
+    for spec in matrix_angles(load_a, load_b, shape):
         rows = [(i, float(cos), float(rad), float(deg)) for i, (cos, rad, deg)
                 in enumerate(zip(spec.cosines, spec.angles_rad, spec.angles_deg))]
         degrees = [np.degrees(x) for x in (spec.min_rad, spec.max_rad, spec.angles_rad.mean())]
@@ -287,7 +295,7 @@ def run_restore(params: dict) -> int:
         for layers, ranks in grid
     ]
 
-    with _staged_out(params["out"]) as stage:
+    with _staged_out(params["out"], (params["donor"], params["host"], params["profile"])) as stage:
         outs = [stage / f"{stem}.safetensors" for stem in stems]
         reports = run_surgery(plan, outs, force_f32=params["force_f32"])
         for stem, report in zip(stems, reports):
@@ -353,7 +361,6 @@ def run_adv_stats(params: dict) -> int:
             "input": str(params["input"]),
             "source": source,
             **asdict(summary),
-            "kl_vs_matched_normal": max(0.0, summary.kl_vs_matched_normal),
             "verdict": decision.verdict,
             "checks": decision.reasons,
             "thresholds": asdict(thresholds),
@@ -363,7 +370,7 @@ def run_adv_stats(params: dict) -> int:
             ),
         }
     )
-    with _staged_out(params["out"]) as stage:
+    with _staged_out(params["out"], (params["input"], params["thresholds"])) as stage:
         write_json(stage / "summary.json", payload)
         write_csv(
             stage / "histogram.csv",
@@ -377,10 +384,10 @@ def run_adv_stats(params: dict) -> int:
 # penalty
 
 
-def _penalty_row(pair, ckpt_ref, rank: int) -> tuple:
+def _penalty_row(pair, rank: int) -> tuple:
     """The penalty job: (rank used, penalty, degenerate boundary); one matrix held at a time."""
-    _, name_ref, _, load_ref, load_cur = pair
-    rank_used = min(rank, *ckpt_ref.index[name_ref].shape)
+    *_, shape, load_ref, load_cur = pair
+    rank_used = min(rank, *shape)
     ref = fit_reference(load_ref(), rank_used)
     return rank_used, penalty_value(load_cur(), ref), ref.degenerate
 
@@ -394,7 +401,7 @@ def run_penalty(params: dict) -> int:
         raise ValidationError(f"rank must be >= 1, got {rank}")
     rows = []
     per_kind: dict[str, float] = {}
-    for (key, name_ref, *_), row in run_pairs(_penalty_row, pairs, ckpt_ref, rank):
+    for (key, name_ref, *_), row in run_pairs(_penalty_row, pairs, rank):
         rows.append((key, name_ref, *row))
         per_kind[key.kind] = per_kind.get(key.kind, 0.0) + row[1]
 
@@ -412,7 +419,7 @@ def run_penalty(params: dict) -> int:
             "matrices": len(rows),
         }
     )
-    with _staged_out(params["out"]) as stage:
+    with _staged_out(params["out"], (params["ref"], params["current"], params["profile"])) as stage:
         _write_table(
             stage / "penalty.csv",
             ["tensor", "rank_used", "penalty", "degenerate_boundary"],

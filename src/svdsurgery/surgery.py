@@ -142,8 +142,8 @@ class RankSelector:
         return f"{self.rule}:{self.count}"
 
 
-#: (key, host tensor, donor tensor, host loader, donor loader), from `pair_matrices`
-Target = tuple[MatrixKey, str, str, Callable, Callable]
+#: (key, host tensor, shape, host loader, donor loader), from `pair_matrices`
+Target = tuple[MatrixKey, str, tuple[int, int], Callable, Callable]
 
 
 @dataclass
@@ -267,13 +267,12 @@ def plan_selection(plan: SurgeryPlan) -> list[tuple[Target, list[np.ndarray | No
     chosen = [(layers.resolve(host_layers), ranks) for layers, ranks in plan.grid]
     targets = []
     for target in paired:
-        key, host_name, donor_name, _, _ = target
-        thin_rank = min(plan.host.index[host_name].shape)
-        point_ranks = [ranks.resolve(thin_rank) if key.layer in layers else None
+        key, _, shape, _, load_donor = target
+        point_ranks = [ranks.resolve(min(shape)) if key.layer in layers else None
                        for layers, ranks in chosen]
         if all(ranks is None for ranks in point_ranks):
             continue
-        if donor_name is None:
+        if load_donor is None:
             raise ValidationError(f"donor checkpoint has no tensor for {key.label}")
         targets.append((target, point_ranks))
     return targets
@@ -281,10 +280,10 @@ def plan_selection(plan: SurgeryPlan) -> list[tuple[Target, list[np.ndarray | No
 
 def _splice_target(
     target_ranks: tuple[Target, list[np.ndarray | None]],
-    plan: SurgeryPlan,
+    mode: str,
     writers: list[CheckpointWriter],
 ) -> list[tuple[int, MatrixRecord, float | None]]:
-    """The restore job: (grid point, record, rounding error) of one of `plan.targets`.
+    """The restore job: (grid point, record, rounding error) of one of a plan's `targets`.
 
     One triple per grid point that takes the target, in grid order. Each
     edit goes to its grid point's writer in `writers` as soon as its record
@@ -310,13 +309,13 @@ def _splice_target(
     if not any(ranks.size for _, ranks in points):
         load_host()  # a non-finite host fails as it would if edited
         return results
-    keep = 0 if plan.mode == "values" else 1 + max(int(r.max()) for _, r in points if r.size)
+    keep = 0 if mode == "values" else 1 + max(int(r.max()) for _, r in points if r.size)
     donor_t = svd(load_donor(), keep)
     host_t = svd(load_host())
     for j, (i, ranks) in enumerate(points):
         if ranks.size == 0:
             continue
-        w_out = mixed_matrix(host_t, donor_t, plan.mode, ranks)
+        w_out = mixed_matrix(host_t, donor_t, mode, ranks)
         diff = load_host()
         np.subtract(w_out, diff, out=diff)
         fro_vs_host = float(np.linalg.norm(diff))
@@ -348,10 +347,11 @@ def run_surgery(
     targets it resolved ranks for (`plan.targets`), each stored in the
     host's dtype, or in F32 when `force_f32`; this is the one place an
     edit's dtype is decided. `run_pairs` then runs the restore job,
-    `_splice_target`, on each target once, in key order, and the job
-    writes each edit as it makes it. A matrix no grid point selects ranks
-    of gets no SVD, and the run holds one matrix's working set at a time,
-    however many layers and grid points the plan has.
+    `_splice_target`, on each target once, in key order, with `plan.mode`
+    and the writers, and the job writes each edit as it makes it. A matrix
+    no grid point selects ranks of gets no SVD, and the run holds one
+    matrix's working set at a time, however many layers and grid points the
+    plan has.
 
     An output that is the host or the donor file, or that two grid points
     share, is refused before any output is opened. If the run fails, every
@@ -378,7 +378,7 @@ def run_surgery(
             started.append(out)
             dtypes = {name: "F32" if force_f32 else plan.host.index[name].dtype for name in names}
             writers.append(write_checkpoint(plan.host, dtypes, out))
-        jobs = run_pairs(_splice_target, plan.targets, plan, writers)
+        jobs = run_pairs(_splice_target, plan.targets, plan.mode, writers)
         results = [result for _, target_results in jobs for result in target_results]
     except BaseException:
         for out in started:

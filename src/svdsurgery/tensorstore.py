@@ -120,7 +120,6 @@ class Checkpoint:
     index: dict[str, TensorInfo]
     metadata: dict[str, str]
     data_start: int
-    data_size: int
 
     @property
     def tensor_count(self) -> int:
@@ -195,11 +194,8 @@ def open_checkpoint(path: str | Path) -> Checkpoint:
         raise ValidationError("header is not a JSON object")
 
     data_start = HEADER_LEN_BYTES + header_len
-    data_size = size - data_start
-    index, metadata = _parse_header(header, data_size)
-    return Checkpoint(
-        path=path, index=index, metadata=metadata, data_start=data_start, data_size=data_size
-    )
+    index, metadata = _parse_header(header, size - data_start)
+    return Checkpoint(path=path, index=index, metadata=metadata, data_start=data_start)
 
 
 def load_raw(ckpt: Checkpoint, name: str) -> bytes:
@@ -244,23 +240,21 @@ def load_matrix(ckpt: Checkpoint, name: str, out: np.ndarray | None = None) -> n
 class CheckpointWriter:
     """The byte ranges of a started checkpoint file that are left for its edits."""
 
-    base: Checkpoint
     path: Path
-    #: edited tensor name -> (dtype, start, end) of its bytes in the file
-    slots: dict[str, tuple[str, int, int]]
+    #: edited tensor name -> (dtype, shape, start, end) of its bytes in the file
+    slots: dict[str, tuple[str, tuple[int, ...], int, int]]
 
     def write_edit(self, name: str, values: np.ndarray) -> float:
         """Narrow float64 `values` to the dtype of tensor `name`'s slot and write them there.
 
-        The values must have the tensor's shape in the base and be finite;
+        The values must have the shape of the slot and be finite;
         they are rounded to nearest-even, and a value beyond the slot
         dtype's range is a NumericalError. Nothing is written on an error.
         Returns the rounding error, max |stored - requested|.
         """
         if name not in self.slots:
             raise ValidationError(f"tensor {name!r} has no edit slot in {self.path}")
-        dtype, start, _ = self.slots[name]
-        shape = self.base.index[name].shape
+        dtype, shape, start, _ = self.slots[name]
         arr = np.asarray(values, dtype=np.float64)
         if arr.shape != shape:
             raise ValidationError(
@@ -337,7 +331,8 @@ def write_checkpoint(
     header_bytes += b" " * pad
     data_start = HEADER_LEN_BYTES + len(header_bytes)
     slots = {
-        name: (dtype, *(data_start + offset for offset in entries[name]["data_offsets"]))
+        name: (dtype, base.index[name].shape,
+               *(data_start + offset for offset in entries[name]["data_offsets"]))
         for name, dtype in edit_dtypes.items()
     }
 
@@ -348,7 +343,7 @@ def write_checkpoint(
                 fh.write(header_bytes)
                 for name in layout:
                     if name in slots:
-                        fh.seek(slots[name][2])  # left for the writer
+                        fh.seek(slots[name][3])  # left for the writer
                         continue
                     start, end = base.index[name].offsets
                     src.seek(base.data_start + start)
@@ -357,7 +352,7 @@ def write_checkpoint(
                 fh.truncate(data_start + cursor)
         except OSError as exc:
             raise WriteError(f"cannot write checkpoint to {out}: {exc}") from exc
-    return CheckpointWriter(base=base, path=out, slots=slots)
+    return CheckpointWriter(path=out, slots=slots)
 
 
 # ---------------------------------------------------------------------------
@@ -507,15 +502,16 @@ def resolve_keys(ckpt: Checkpoint, profile: NamingProfile) -> list[tuple[MatrixK
 
 def pair_matrices(
     a: Checkpoint, b: Checkpoint, profile: NamingProfile, kinds=None
-) -> list[tuple[MatrixKey, str, str | None, Callable, Callable | None]]:
+) -> list[tuple[MatrixKey, str, tuple[int, int], Callable, Callable | None]]:
     """The one walk over the matrices of two checkpoints, paired by key, in key order.
 
     For each 2-D matrix of `a` of the given `kinds` (every kind if None):
-    (key, name in a, name in b, load a, load b). A kind the profile does not
+    (key, name in a, shape, load a, load b). A kind the profile does not
     resolve is rejected first (`NamingProfile.check_kinds`). A loader decodes
     its matrix by `load_matrix` when called, so the caller decides when to
-    load. The name and loader in b are None where `b` lacks the key; keys
-    only `b` has are left out. Paired tensors must have the same shape.
+    load. The loader in b is None where `b` lacks the key; keys only `b` has
+    are left out. Paired tensors must have the same shape. The pair is all
+    a matrix job reads: it reaches the files only through the loaders.
     """
     if kinds is not None:
         profile.check_kinds(kinds)
@@ -531,7 +527,7 @@ def pair_matrices(
                 f"{key.label}: shape {shape} in {a.path} vs {b.index[name_b].shape} in {b.path}"
             )
         load_b = None if name_b is None else functools.partial(load_matrix, b, name_b)
-        pairs.append((key, name_a, name_b, functools.partial(load_matrix, a, name_a), load_b))
+        pairs.append((key, name_a, shape, functools.partial(load_matrix, a, name_a), load_b))
     return pairs
 
 
@@ -539,9 +535,10 @@ def run_pairs(job: Callable, pairs: list, *args) -> Iterator[tuple]:
     """The one driver of the matrix commands: (pair, `job(pair, *args)`) per pair, in order.
 
     `pairs` is a `pair_matrices` walk or a restore plan's `targets`. A job is
-    a module-level function that loads through the pair's loaders and
-    returns plain data holding no matrix, so a job, its pair and its
-    arguments pickle. Jobs run here, one at a time, in key order.
+    a module-level function that loads through the pair's loaders, takes
+    plain settings or writers as its other arguments, never a checkpoint
+    or a plan, and returns plain data holding no matrix, so a job, its pair
+    and its arguments pickle. Jobs run here, one at a time, in key order.
     """
     for pair in pairs:
         yield pair, job(pair, *args)

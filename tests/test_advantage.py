@@ -179,6 +179,14 @@ def test_summarize_fixed_bin_count():
     assert s.estimator_config["bins_used"] == 32
 
 
+def test_fd_bins_fall_back_to_64_when_the_quartiles_meet():
+    x = np.concatenate([np.zeros(200), np.random.default_rng(104).standard_normal(100)])
+    assert np.percentile(x, 25.0) == np.percentile(x, 75.0) == 0.0
+    cfg = _cfg(bootstrap=20)
+    assert summarize(x, cfg).estimator_config["bins_used"] == advantage.FALLBACK_BINS == 64
+    assert len(histogram_table(x, cfg)) == 64
+
+
 def test_normal_cdf_matches_scipy_ndtr():
     from scipy.special import ndtr
 
@@ -385,6 +393,20 @@ def test_read_trace_without_terminal_row_uses_zero(tmp_path):
     samples, _ = read_rollout_log(path, GaeParams(gamma=1.0, lam=1.0))
     oracle = gae_double_sum([1.0, 2.0], [0.5, 0.25, 0.0], 1.0, 1.0)
     np.testing.assert_allclose(samples, oracle, atol=1e-14)
+
+
+def test_read_trace_ids_of_different_json_types_are_different_traces(tmp_path):
+    rng = np.random.default_rng(301)
+    ids = [1, "1", True, "True"]  # each id's text is the next one's
+    rewards, values = rng.standard_normal((2, len(ids), 3))
+    rows = [{"trace_id": tid, "t": t, "reward": r[t], "value": v[t]}
+            for tid, r, v in zip(ids, rewards, values) for t in range(3)]
+    path = tmp_path / "ids.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    samples, _ = read_rollout_log(path, GaeParams(gamma=0.9, lam=0.8))
+    # four 3-step traces, ordered by the id's text and then its JSON type
+    oracle = [gae_double_sum(r, [*v, 0.0], 0.9, 0.8) for r, v in zip(rewards, values)]
+    np.testing.assert_allclose(samples, np.concatenate(oracle), atol=1e-12)
 
 
 def test_read_rejects_mixed_and_malformed(tmp_path):

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, report layouts, determinism, manifests."""
 
+import dataclasses
 import datetime
 import json
 import os
@@ -103,6 +104,24 @@ def test_out_is_an_existing_file_exits_4(name, pair, rollouts, tmp_path):
     out.write_text("keep")
     assert cli.main(commands(pair, rollouts)[name] + ["--out", str(out)]) == 4
     assert out.read_text() == "keep"
+
+
+@pytest.mark.parametrize("name, output", [
+    ("restore-vectors", "vectors__layers-last-1__ranks-range-1-4.safetensors"),
+    ("adv-stats", "summary.json"),
+])
+def test_output_that_would_replace_an_input_exits_2_and_writes_nothing(name, output, pair,
+                                                                       rollouts, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = commands(pair, rollouts)[name]
+    source = argv.index("--host" if name.startswith("restore") else "--input") + 1
+    shutil.copyfile(argv[source], out / output)
+    argv[source] = str(out / output)
+    before = files(out)
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert f"cannot write over an input in {out}: {output}" in capsys.readouterr().err
+    assert files(out) == before
 
 
 @pytest.mark.parametrize(
@@ -477,6 +496,18 @@ def test_adv_stats_layout(rollouts, pair, tmp_path):
         "command", "toolkit_version", "input", "source", "n", "mu", "sd", "skewness",
         "entropy_nats", "kl_vs_matched_normal", "silverman_p", "estimator_config", "verdict",
         "checks", "thresholds", "threshold_note"}
+
+
+def test_adv_stats_reports_the_kl_its_check_reads(rollouts, pair, tmp_path, monkeypatch):
+    def negative_kl(samples, cfg):
+        return dataclasses.replace(advantage.summarize(samples, cfg), kl_vs_matched_normal=-1e-18)
+
+    monkeypatch.setattr(cli, "summarize", negative_kl)
+    out = tmp_path / "out"
+    assert cli.main(commands(pair, rollouts)["adv-stats"] + ["--out", str(out)]) == 0
+    report = json.loads((out / "summary.json").read_text())
+    [check] = [c for c in report["checks"] if c["check"] == "kl_below_max"]
+    assert report["kl_vs_matched_normal"] == check["value"] == -1e-18
 
 
 @pytest.mark.parametrize("scale, cause", [(1e-130, "underflows"), (1e200, "overflows")])

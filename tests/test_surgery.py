@@ -430,7 +430,7 @@ def test_splice_distances_are_the_plain_differences_bit_for_bit(mode, synth_pair
     for target_ranks in plan.targets:
         key, host_name, _, load_host, load_donor = target_ranks[0]
         writer = _KeptEdits()
-        [(point, record, _)] = surgery._splice_target(target_ranks, plan, [writer])
+        [(point, record, _)] = surgery._splice_target(target_ranks, plan.mode, [writer])
         assert point == 0
         w_out = writer.edits[host_name]
         diff = w_out - load_host()

@@ -512,7 +512,6 @@ def test_resolve_is_order_invariant(perm):
         index={names[i]: info for i in perm},
         metadata={},
         data_start=8,
-        data_size=16,
     )
     res = resolve_keys(ckpt, BUILTIN_PROFILES["llama-style"])
     assert [(k.layer, k.kind) for k, _ in res] == [
